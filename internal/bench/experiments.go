@@ -249,77 +249,8 @@ func Experiments() []Experiment {
 		{"e9", "E9: shard-count sweep (key-partitioned execution)", runShardSweep},
 		{"e10", "E10: recovery — checkpoint size/latency vs trace replay", runRecovery},
 		{"e11", "E11: multi-query sharing — N Query 1 variants on one registry vs N engines", runMultiQuery},
-		{"e12", "E12: columnar stateful tail — row vs columnar batched ingest", runColumnarTail},
 	}
 }
-
-// runColumnarTail measures the stateful-tail columnar kernels end to end:
-// the group-by and negation queries run with batched ingest twice per
-// strategy — pinned to the row batch path (NoColumnar) and on the columnar
-// kernels — over the identical trace. The columnar leg is verified to have
-// actually run columnar, to finish with the same answer cardinality, and to
-// report zero update-pattern violations.
-func runColumnarTail(s Scale) ([]Table, error) {
-	w := int64(20000)
-	if s == Quick {
-		w = 5000
-	}
-	tab := Table{
-		ID:    "e12",
-		Title: fmt.Sprintf("Columnar stateful tail, window %d, batch %d — row vs columnar batched ingest", w, colTailBatch),
-		Columns: []string{"query", "variant", "row ms/1k", "col ms/1k", "speedup",
-			"row allocs/op", "col allocs/op", "row B/op", "col B/op", "final results"},
-		Notes: "Both legs ingest the identical trace in PushBatch chunks; the row leg pins " +
-			"Config.NoColumnar, the columnar leg runs the group-by/distinct/negate kernels " +
-			"(verified engaged, zero pattern violations, equal final view cardinality). " +
-			"End-to-end ratios are bounded by the shared state machine: the kernels drive the " +
-			"same event rules and buffer mutations as the row path, so the speedup here is the " +
-			"per-run overhead they remove (key derivation from vectors, one map touch per " +
-			"arrival, mask-packed selections), not the kernel-grain gap — " +
-			"BenchmarkGroupByKernel/BenchmarkNegateKernel in internal/operator isolate that.",
-	}
-	for _, q := range []Query{Q6GroupBy, Q3Negation} {
-		for _, v := range StdVariants() {
-			base := RunConfig{Strategy: v.Strat, Opts: v.Opts, Window: w, Batch: colTailBatch}
-			rowCfg := base
-			rowCfg.NoColumnar = true
-			row, err := Run(q, rowCfg)
-			if err != nil {
-				return nil, fmt.Errorf("e12 %v/%s row: %w", q, v.Name, err)
-			}
-			col, err := Run(q, base)
-			if err != nil {
-				return nil, fmt.Errorf("e12 %v/%s col: %w", q, v.Name, err)
-			}
-			if row.Columnar {
-				return nil, fmt.Errorf("e12 %v/%s: NoColumnar leg ran columnar", q, v.Name)
-			}
-			if !col.Columnar {
-				return nil, fmt.Errorf("e12 %v/%s: columnar leg fell back to the row path", q, v.Name)
-			}
-			if col.Violations != 0 {
-				return nil, fmt.Errorf("e12 %v/%s: %d pattern violations on the columnar path", q, v.Name, col.Violations)
-			}
-			if col.FinalResults != row.FinalResults {
-				return nil, fmt.Errorf("e12 %v/%s: final results diverge: col %d vs row %d",
-					q, v.Name, col.FinalResults, row.FinalResults)
-			}
-			tab.Rows = append(tab.Rows, []string{
-				q.String(), v.Name,
-				fmt.Sprintf("%.3f", row.MsPerK), fmt.Sprintf("%.3f", col.MsPerK),
-				fmt.Sprintf("%.2fx", row.MsPerK/col.MsPerK),
-				fmt.Sprintf("%.2f", row.AllocsPerOp()), fmt.Sprintf("%.2f", col.AllocsPerOp()),
-				fmt.Sprintf("%.0f", row.BytesPerOp()), fmt.Sprintf("%.0f", col.BytesPerOp()),
-				fmt.Sprint(col.FinalResults),
-			})
-		}
-	}
-	return []Table{tab}, nil
-}
-
-// colTailBatch is e12's ingest chunk size — the same 256-arrival granularity
-// the sharded feeder and the exec-level ingest benchmarks use.
-const colTailBatch = 256
 
 // runRecovery measures the checkpoint subsystem's recovery trade-off per
 // strategy: process half the trace, checkpoint to memory (size and write

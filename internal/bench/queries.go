@@ -43,9 +43,8 @@ const (
 	// (Figure 6, left).
 	Q5PullUp
 	// Q6GroupBy aggregates one link per protocol (count and summed payload)
-	// — the Section 2.1 group-by over a sliding window. It is the stateful-
-	// tail workload of the columnar-kernel experiment (e12): every arrival
-	// and every expiration touches the per-group state.
+	// — the Section 2.1 group-by over a sliding window: every arrival and
+	// every expiration touches the per-group state.
 	Q6GroupBy
 )
 

@@ -130,14 +130,10 @@ type RunConfig struct {
 	Shards int
 	// Batch > 0 feeds a sequential run through PushBatch in chunks of that
 	// many arrivals instead of per-tuple Push. Batched ingest is what lets
-	// the engine coalesce same-timestamp runs and take the columnar path;
-	// per-tuple Push (the default) measures the paper's arrival-at-a-time
-	// regime. Ignored when Shards > 1 (sharded ingest is always batched).
+	// the engine coalesce same-timestamp runs; per-tuple Push (the default)
+	// measures the paper's arrival-at-a-time regime. Ignored when Shards > 1
+	// (sharded ingest is always batched).
 	Batch int
-	// NoColumnar pins the engine to the row batch path even when the plan
-	// and ingest mode would admit the columnar kernels — the control leg of
-	// the row-vs-columnar experiment (e12).
-	NoColumnar bool
 	// Health monitors the run with the engine's built-in health rules
 	// (manual ticks every healthTickEvery tuples) and records alert
 	// transitions on the Result. Implies a metrics registry. EnableHealth
@@ -199,10 +195,6 @@ type Result struct {
 	// sharded run degraded to one shard.
 	Shards        int
 	ShardFallback string
-	// Columnar reports whether the engine finished the run on the columnar
-	// kernel path (sequential runs only; requires batched ingest and a plan
-	// with full kernel coverage, and survives only if no run demoted it).
-	Columnar bool
 	// Allocs/AllocBytes are process-wide heap allocation deltas across the
 	// timed region (runtime.ReadMemStats before and after, so sharded
 	// workers are covered too). They track the allocation trajectory of the
@@ -269,7 +261,6 @@ func Run(q Query, rc RunConfig) (Result, error) {
 	cfg := exec.Config{
 		EagerInterval: 1, LazyInterval: lazy,
 		Metrics: rc.Metrics, Tracer: rc.Tracer,
-		NoColumnar: rc.NoColumnar,
 	}
 
 	links := q.Links()
@@ -367,7 +358,6 @@ func Run(q Query, rc RunConfig) (Result, error) {
 		Metrics:         eng.Metrics().Snapshot(),
 		Ops:             eng.Profile(),
 		Shards:          1,
-		Columnar:        eng.Columnar(),
 		LatencyPos:      latPos,
 		LatencyNeg:      latNeg,
 		Violations:      eng.Violations(),

@@ -27,11 +27,16 @@ import (
 	"repro/internal/tuple"
 )
 
-// Version is the current checkpoint format version. A Decoder refuses any
-// other version with an error wrapping ErrVersion. Version 2 appended the
-// string-interner section (symbol table and columnar-eligibility flag) to
-// each engine state section; version-1 streams are not readable.
-const Version = 2
+// Version is the current checkpoint format version, the one every Encoder
+// writes. A Decoder also accepts MinVersion through Version and refuses any
+// other with an error wrapping ErrVersion. Version 2 carried a string-interner
+// section (symbol table and a columnar-eligibility flag) at the end of each
+// engine state section; version 3 dropped it, and readers of a v2 stream
+// discard it (see Decoder.Version). Version-1 streams are not readable.
+const Version = 3
+
+// MinVersion is the oldest format version a Decoder accepts.
+const MinVersion = 2
 
 // magic identifies a checkpoint stream. It never changes across versions;
 // the version number that follows it does.
@@ -200,8 +205,9 @@ func (e *Encoder) Key(k tuple.Key) {
 // the failure. All decode paths are bounded and panic-free on arbitrary
 // input.
 type Decoder struct {
-	r   *bufio.Reader
-	err error
+	r       *bufio.Reader
+	err     error
+	version uint64
 }
 
 // NewDecoder returns a Decoder reading from r.
@@ -209,6 +215,10 @@ func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: bufio.NewReader(r)} }
 
 // Err returns the first decode error, or nil.
 func (d *Decoder) Err() error { return d.err }
+
+// Version returns the format version Begin read (0 before Begin succeeds),
+// so callers can skip sections an older version carried.
+func (d *Decoder) Version() uint64 { return d.version }
 
 func (d *Decoder) fail(err error) {
 	if d.err == nil {
@@ -236,9 +246,15 @@ func (d *Decoder) Begin() {
 		d.corrupt("bad magic %q", m[:])
 		return
 	}
-	if v := d.Uvarint(); d.err == nil && v != Version {
-		d.fail(fmt.Errorf("%w: got %d, support %d", ErrVersion, v, Version))
+	v := d.Uvarint()
+	if d.err != nil {
+		return
 	}
+	if v < MinVersion || v > Version {
+		d.fail(fmt.Errorf("%w: got %d, support %d-%d", ErrVersion, v, MinVersion, Version))
+		return
+	}
+	d.version = v
 }
 
 // Uvarint reads an unsigned varint.

@@ -163,6 +163,24 @@ func TestBeginRejectsBadMagicAndVersion(t *testing.T) {
 	}
 }
 
+// TestBeginVersions: a v2 stream still opens and reports its version (so
+// engine readers can skip the section v2 carried); v1 is refused.
+func TestBeginVersions(t *testing.T) {
+	for _, tc := range []struct {
+		v  byte
+		ok bool
+	}{{1, false}, {2, true}, {Version, true}} {
+		dec := NewDecoder(bytes.NewReader(append([]byte(magic), tc.v)))
+		dec.Begin()
+		if got := dec.Err() == nil; got != tc.ok {
+			t.Errorf("version %d: err = %v", tc.v, dec.Err())
+		}
+		if tc.ok && dec.Version() != uint64(tc.v) {
+			t.Errorf("version %d: Version() = %d", tc.v, dec.Version())
+		}
+	}
+}
+
 // TestTruncationIsCorrupt cuts a valid stream at every byte offset; every
 // prefix must decode to an error wrapping ErrCorrupt (or ErrVersion for cuts
 // inside the header), never a panic or a silent success.

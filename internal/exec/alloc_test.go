@@ -29,44 +29,80 @@ import (
 // batch and trip the gate.
 const ingestAllocBudget = 70.0
 
+// groupByAllocBudget is the checked-in ceiling for one steady-state
+// benchBatchLen-arrival PushBatch on the Q6-style group-by (a selection in
+// front of a per-protocol count/sum), over a window too long for expiry
+// waves to fire. Measured 0 (testing.AllocsPerRun floors the mean): the ~32
+// arrivals per batch that pass the selection each update their group and
+// emit one replacement row, whose values are carved from the group-by's
+// arena, so what remains is amortized growth — an arena slab or a buffer
+// page every few batches. A per-row allocation would add ~32 and trip it.
+const groupByAllocBudget = 1.0
+
+// TestBatchIngestAllocBudget gates steady-state PushBatch allocations on the
+// Q1 join shape and the Q6 group-by shape.
 func TestBatchIngestAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation budgets are meaningless under -race")
 	}
-	q := ckptQueries()[0] // Q1-join-of-selects
-	eng := buildExecutor(t, q, plan.UPA, 1).(*Engine)
+	t.Run("q1", func(t *testing.T) {
+		q := ckptQueries()[0] // Q1-join-of-selects
+		eng := buildExecutor(t, q, plan.UPA, 1).(*Engine)
 
-	// A reusable 64-arrival batch: 8 ticks × 2 streams × 4-tuple bursts.
-	// Vals are generated once; only timestamps advance between runs.
-	r := rand.New(rand.NewSource(17))
-	batch := make([]Arrival, 0, 64)
-	for tick := 0; tick < 8; tick++ {
-		for s := 0; s < 2; s++ {
-			for b := 0; b < 4; b++ {
-				batch = append(batch, Arrival{Stream: s, TS: int64(tick), Vals: rndTuple(r)})
+		// A reusable 64-arrival batch: 8 ticks × 2 streams × 4-tuple bursts.
+		// Vals are generated once; only timestamps advance between runs.
+		r := rand.New(rand.NewSource(17))
+		batch := make([]Arrival, 0, 64)
+		for tick := 0; tick < 8; tick++ {
+			for s := 0; s < 2; s++ {
+				for b := 0; b < 4; b++ {
+					batch = append(batch, Arrival{Stream: s, TS: int64(tick), Vals: rndTuple(r)})
+				}
 			}
 		}
-	}
-	base := int64(0)
-	runOnce := func() {
-		for i := range batch {
-			batch[i].TS = base + int64(i/8)
+		base := int64(0)
+		runOnce := func() {
+			for i := range batch {
+				batch[i].TS = base + int64(i/8)
+			}
+			if err := eng.PushBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			base += 8
 		}
-		if err := eng.PushBatch(batch); err != nil {
-			t.Fatal(err)
+		// Warm far past the 20-tick window horizon so buffer capacities, the
+		// view, and the emit pool reach steady state.
+		for i := 0; i < 64; i++ {
+			runOnce()
 		}
-		base += 8
-	}
-	// Warm far past the 20-tick window horizon so buffer capacities, the view,
-	// and the emit pool reach steady state.
-	for i := 0; i < 64; i++ {
-		runOnce()
-	}
-	got := testing.AllocsPerRun(100, runOnce)
-	t.Logf("steady-state PushBatch: %.1f allocs per 64-arrival batch (%.2f/tuple)", got, got/64)
-	if got > ingestAllocBudget {
-		t.Errorf("steady-state PushBatch: %.1f allocs per 64-arrival batch, budget %.1f", got, ingestAllocBudget)
-	}
+		got := testing.AllocsPerRun(100, runOnce)
+		t.Logf("steady-state PushBatch: %.1f allocs per 64-arrival batch (%.2f/tuple)", got, got/64)
+		if got > ingestAllocBudget {
+			t.Errorf("steady-state PushBatch: %.1f allocs per 64-arrival batch, budget %.1f", got, ingestAllocBudget)
+		}
+	})
+	t.Run("q6-groupby", func(t *testing.T) {
+		eng := benchGroupByEngine(t, 1<<30)
+		batch := benchStatefulBatch(1)
+		base := int64(0)
+		runOnce := func() {
+			restampKeys(batch, base, 1)
+			if err := eng.PushBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			base += 4
+		}
+		// Warm until maps, buffers, and the view reach steady capacity for
+		// the 20k-key domain.
+		for i := 0; i < 2048; i++ {
+			runOnce()
+		}
+		got := testing.AllocsPerRun(200, runOnce)
+		t.Logf("steady-state PushBatch: %.2f allocs per %d-arrival batch (%.4f/tuple)", got, benchBatchLen, got/benchBatchLen)
+		if got > groupByAllocBudget {
+			t.Errorf("steady-state PushBatch: %.2f allocs per %d-arrival batch, budget %.2f", got, benchBatchLen, groupByAllocBudget)
+		}
+	})
 }
 
 // TestBatchIngestAllocBudgetInstrumented holds the instrumented engine
@@ -111,48 +147,5 @@ func TestBatchIngestAllocBudgetInstrumented(t *testing.T) {
 	}
 	if pos, _ := eng.DeltaLatency(); pos.Count == 0 {
 		t.Error("instrumented run recorded no delta latency")
-	}
-}
-
-// colIngestAllocBudget is the checked-in ceiling for one steady-state
-// 64-arrival PushBatch on the columnar Q1/UPA path. The acceptance bar is
-// zero allocations per tuple: layout vectors, selection masks, probe
-// scratch, arena rows (recycled on expiry), and hash buckets (freelisted)
-// all reach fixed capacity after warmup. The small headroom absorbs the
-// rare amortized growths that survive any warmup horizon — a view page, a
-// bucket spill, an arena slab for a fresh row shape — without admitting
-// any per-tuple cost (64 arrivals per batch, so even one alloc per tuple
-// would overshoot by an order of magnitude).
-const colIngestAllocBudget = 4.0
-
-// TestColIngestAllocBudget gates the columnar ingest path at effectively
-// zero steady-state allocations, on the instrumented engine (the
-// deployment shape the throughput acceptance is measured in).
-func TestColIngestAllocBudget(t *testing.T) {
-	if race.Enabled {
-		t.Skip("allocation budgets are meaningless under -race")
-	}
-	eng := benchQ1Engine(t, 5000, true, true)
-	batch := benchBatch()
-	base := int64(0)
-	runOnce := func() {
-		restamp(batch, base)
-		if err := eng.PushBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-		base += 4
-	}
-	// Warm past the 5000-tick window horizon so expiry, arena recycling, and
-	// the bucket freelist reach steady state.
-	for i := 0; i < 2048; i++ {
-		runOnce()
-	}
-	got := testing.AllocsPerRun(200, runOnce)
-	t.Logf("steady-state columnar PushBatch: %.2f allocs per 64-arrival batch (%.4f/tuple)", got, got/64)
-	if got > colIngestAllocBudget {
-		t.Errorf("steady-state columnar PushBatch: %.2f allocs per 64-arrival batch, budget %.2f", got, colIngestAllocBudget)
-	}
-	if !eng.colOK {
-		t.Error("engine demoted off the columnar path during the run")
 	}
 }

@@ -1,12 +1,10 @@
 package exec
 
-// Benchmarks pinning the batch execution fast paths: the same bursty arrival
-// stream pushed tuple-at-a-time (Push), run-coalesced on the row batch path
-// (PushBatch with NoColumnar), and run-coalesced on the columnar path
-// (PushBatch, the default) into the paper's Query 1 (join of ftp-selections)
-// compiled with the UPA strategy over a 5000-tick window. The tuples/sec
-// ratios and allocs/op drops are the acceptance numbers recorded in
-// BENCH_PR5.json and BENCH_PR7.json.
+// Benchmarks pinning the ingest path: the same bursty arrival stream pushed
+// one arrival per call (Push, a batch of one) and run-coalesced (PushBatch)
+// into the paper's Query 1 (join of ftp-selections) compiled with the UPA
+// strategy over a 5000-tick window. The committed benchstat baselines in
+// internal/bench/baselines/ingest_q1upa.txt hold CI to them.
 
 import (
 	"math/rand"
@@ -26,7 +24,7 @@ import (
 // one of the overheads the batch path amortizes per run instead of paying
 // per tuple, so the instrumented engine is where the tuple/batch contrast is
 // representative. BENCH_PR5.json records the bare-engine numbers alongside.
-func benchQ1Engine(b testing.TB, winSize int64, metrics, columnar bool) *Engine {
+func benchQ1Engine(b testing.TB, winSize int64, metrics bool) *Engine {
 	b.Helper()
 	ftpSel := func(id int) *plan.Node {
 		src := plan.NewSource(id, window.Spec{Type: window.TimeBased, Size: winSize}, linkSchema())
@@ -40,16 +38,13 @@ func benchQ1Engine(b testing.TB, winSize int64, metrics, columnar bool) *Engine 
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := Config{LazyInterval: 50, EagerInterval: 1, NoColumnar: !columnar}
+	cfg := Config{LazyInterval: 50, EagerInterval: 1}
 	if metrics {
 		cfg.Metrics = obs.NewRegistry()
 	}
 	eng, err := New(phys, cfg)
 	if err != nil {
 		b.Fatal(err)
-	}
-	if eng.colOK != columnar {
-		b.Fatalf("colOK = %v, want %v", eng.colOK, columnar)
 	}
 	return eng
 }
@@ -105,7 +100,7 @@ func BenchmarkIngestTupleQ1UPABare(b *testing.B) {
 }
 
 func benchIngestTuple(b *testing.B, metrics bool) {
-	eng := benchQ1Engine(b, 5000, metrics, false)
+	eng := benchQ1Engine(b, 5000, metrics)
 	batch := benchBatch()
 	base := int64(0)
 	b.ReportAllocs()
@@ -123,33 +118,20 @@ func benchIngestTuple(b *testing.B, metrics bool) {
 	b.ReportMetric(float64(b.N*len(batch))/b.Elapsed().Seconds(), "tuples/sec")
 }
 
-// BenchmarkIngestBatchQ1UPA is the run-coalescing row batch path over the
-// identical arrival stream, pinned to NoColumnar so the PR 5 baseline stays
-// comparable across PRs.
+// BenchmarkIngestBatchQ1UPA is the run-coalescing batch path over the
+// identical arrival stream.
 func BenchmarkIngestBatchQ1UPA(b *testing.B) {
-	benchIngestBatch(b, true, false)
+	benchIngestBatch(b, true)
 }
 
-// BenchmarkIngestBatchQ1UPABare is the row batch path on an uninstrumented
+// BenchmarkIngestBatchQ1UPABare is the batch path on an uninstrumented
 // engine (no metrics registry).
 func BenchmarkIngestBatchQ1UPABare(b *testing.B) {
-	benchIngestBatch(b, false, false)
+	benchIngestBatch(b, false)
 }
 
-// BenchmarkIngestColQ1UPA is the columnar path (the default engine
-// configuration) over the identical arrival stream.
-func BenchmarkIngestColQ1UPA(b *testing.B) {
-	benchIngestBatch(b, true, true)
-}
-
-// BenchmarkIngestColQ1UPABare is the columnar path on an uninstrumented
-// engine (no metrics registry).
-func BenchmarkIngestColQ1UPABare(b *testing.B) {
-	benchIngestBatch(b, false, true)
-}
-
-func benchIngestBatch(b *testing.B, metrics, columnar bool) {
-	eng := benchQ1Engine(b, 5000, metrics, columnar)
+func benchIngestBatch(b *testing.B, metrics bool) {
+	eng := benchQ1Engine(b, 5000, metrics)
 	batch := benchBatch()
 	base := int64(0)
 	b.ReportAllocs()
@@ -162,8 +144,5 @@ func benchIngestBatch(b *testing.B, metrics, columnar bool) {
 		base += 4
 	}
 	b.StopTimer()
-	if eng.colOK != columnar {
-		b.Fatalf("colOK = %v after run, want %v", eng.colOK, columnar)
-	}
 	b.ReportMetric(float64(b.N*len(batch))/b.Elapsed().Seconds(), "tuples/sec")
 }

@@ -57,6 +57,40 @@ func feedBatches(t *testing.T, ex batchExecutor, trace []Arrival, chunk int) {
 	}
 }
 
+// runTrace emits runs of one to four arrivals per (stream, timestamp) with
+// irregular gaps between timestamps — bursts that batchFeed's uneven chunks
+// then split at varying offsets.
+func runTrace(streams, n int) []Arrival {
+	r := rand.New(rand.NewSource(17))
+	out := make([]Arrival, 0, n)
+	ts := int64(0)
+	for len(out) < n {
+		ts += int64(1 + r.Intn(3))
+		s := r.Intn(streams)
+		for k := 1 + r.Intn(4); k > 0 && len(out) < n; k-- {
+			out = append(out, Arrival{Stream: s, TS: ts, Vals: rndTuple(r)})
+		}
+	}
+	return out
+}
+
+// batchFeed pushes the trace through PushBatch in uneven chunks (5 to 11
+// arrivals), so runs of several same-timestamp arrivals form and chunk
+// boundaries land at varying offsets.
+func batchFeed(t *testing.T, ex batchExecutor, trace []Arrival) {
+	t.Helper()
+	for i := 0; i < len(trace); {
+		j := i + 5 + (i/5)%7
+		if j > len(trace) {
+			j = len(trace)
+		}
+		if err := ex.PushBatch(trace[i:j]); err != nil {
+			t.Fatalf("PushBatch[%d:%d]: %v", i, j, err)
+		}
+		i = j
+	}
+}
+
 // TestBatchConformance: batch ≡ tuple-at-a-time ≡ reference for all five paper
 // queries × NT/DIRECT/UPA × {1,4} shards.
 func TestBatchConformance(t *testing.T) {

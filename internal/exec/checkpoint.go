@@ -179,17 +179,21 @@ func (e *Engine) writeState(enc *checkpoint.Encoder) error {
 	if err := vs.SaveState(enc); err != nil {
 		return err
 	}
-	// Interner section (format version 2): the symbol table in id order, so
-	// restored columnar state and kernel constants resolve to identical ids,
-	// plus the not-demoted flag — a demoted engine must stay demoted across
-	// restore, because its serialized state may hold kind-nonconforming rows.
-	strs := e.intern.Strings()
-	enc.Uvarint(uint64(len(strs)))
-	for _, s := range strs {
-		enc.String(s)
-	}
-	enc.Bool(e.colOK)
 	return enc.Err()
+}
+
+// skipV2SymbolTable reads and discards the section a format-v2 engine state
+// section ends with: a string symbol table (count, then the strings) and a
+// columnar-eligibility flag. Version 3 writes neither; nothing reads them.
+func skipV2SymbolTable(dec *checkpoint.Decoder) {
+	if dec.Version() != 2 {
+		return
+	}
+	n := dec.Count()
+	for i := 0; i < n && dec.Err() == nil; i++ {
+		_ = dec.String()
+	}
+	dec.Bool()
 }
 
 // readState is writeState's mirror. Counters are rehydrated by delta so a
@@ -226,24 +230,10 @@ func (e *Engine) readState(dec *checkpoint.Decoder) error {
 	if err := vs.LoadState(dec); err != nil {
 		return err
 	}
-	n := dec.Count()
+	skipV2SymbolTable(dec)
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	strs := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		strs = append(strs, dec.String())
-	}
-	savedColOK := dec.Bool()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if err := e.intern.Reset(strs); err != nil {
-		return fmt.Errorf("%w: %v", checkpoint.ErrCorrupt, err)
-	}
-	// AND, never OR: a plan this engine cannot run columnar stays row-form
-	// regardless of what the saving engine did, and a saved demotion sticks.
-	e.colOK = e.colOK && savedColOK
 	e.met.clock.Set(e.clock)
 	e.met.watermark.Set(e.Watermark())
 	e.refreshStateGauges()

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/obs"
@@ -49,11 +50,21 @@ type Config struct {
 	// instrumentation overhead budget; 0 (the default) disables spans
 	// entirely and costs one integer compare per arrival.
 	TraceSampleEvery int
-	// NoColumnar pins the engine to the row batch path even when the plan
-	// qualifies for columnar execution (see colpath.go). Benchmarks use it to
-	// measure the row path in isolation; production callers leave it false.
-	NoColumnar bool
 }
+
+// Ingest rejections. Push and PushBatch validate a whole batch before any
+// state changes and return one of these, wrapped with the offending
+// arrival's batch index; a rejected batch leaves the engine as it was.
+var (
+	// ErrSchema: an arrival's arity differs from its stream's schema, or a
+	// value's kind is neither the column's kind nor KindNull.
+	ErrSchema = errors.New("exec: arrival does not match the stream schema")
+	// ErrUnknownStream: no registered query reads the arrival's stream.
+	ErrUnknownStream = errors.New("exec: no source for stream")
+	// ErrTimeRegression: a timestamp precedes the engine clock or an earlier
+	// arrival of the same batch.
+	ErrTimeRegression = errors.New("exec: timestamp regresses")
+)
 
 // Stats are cumulative executor counters, read from the engine's metrics
 // registry.
@@ -153,23 +164,14 @@ type Engine struct {
 	// (or run) as traced, making feed/feedBatch emit EvDeltaSpan events.
 	spanEvery, spanLeft int
 	spanActive          bool
-	// Columnar execution state (colpath.go). intern is the engine's string
-	// symbol table — one per engine, ids never travel between engines; colOK
-	// gates the columnar ingest fast path; colDemoted is the permanent
-	// data-driven latch (the first kind-nonconforming arrival sets it, and
-	// registration changes never clear it); colSrc/colOut stage one ColBatch
-	// per plan edge; colArena carves the value slices of rows materialized at
-	// the columnar path's boundaries.
-	intern     *tuple.Interner
-	colOK      bool
-	colDemoted bool
-	colSrc     map[*plan.PSource]*tuple.ColBatch
-	colOut     map[*plan.PNode]*tuple.ColBatch
-	colArena tuple.ValueArena
-	// colRows stages a run's value-slice headers for the column-major layout
-	// pass; entries are cleared after each run so arrival buffers are not
-	// pinned between pushes.
-	colRows [][]tuple.Value
+	// one is Push's batch of one, engine-owned so Push allocates nothing.
+	one [1]Arrival
+	// emits is the free list feedBatch draws its output buffers from: one
+	// buffer per plan level in flight, reused across batches. Engine-owned
+	// (an engine runs on one goroutine at a time), so taking one is a slice
+	// pop rather than a sync.Pool round trip — the batch of one that Push
+	// sends pays it once per operator per arrival.
+	emits []*operator.Emit
 }
 
 // New builds a single-query engine for a physical plan: an empty registry
@@ -221,7 +223,6 @@ func NewMulti(cfg Config) *Engine {
 		spanEvery: cfg.TraceSampleEvery,
 		spanLeft:  cfg.TraceSampleEvery,
 	}
-	e.intern = tuple.NewInterner()
 	return e
 }
 
@@ -262,29 +263,13 @@ func (e *Engine) Streams() []int {
 	return out
 }
 
-// Push admits one base-stream tuple. Timestamps must be non-decreasing
-// across all streams (Section 2's arrival model).
+// Push admits one base-stream tuple: a PushBatch of one. Timestamps must be
+// non-decreasing across all streams (Section 2's arrival model).
 func (e *Engine) Push(streamID int, ts int64, vals ...tuple.Value) error {
-	var start int64
-	if e.timed {
-		start = obs.Nanotime()
-	}
-	err := e.ingest(streamID, ts, vals)
-	e.spanActive = false
-	if err != nil {
-		return err
-	}
-	// Sampling state size sums every buffer, so do it on the first arrival
-	// (short runs would otherwise report a peak of 0) and every 64th after.
-	if a := e.met.arrivals.Value(); a == 1 || a&63 == 0 {
-		e.sampleState()
-	}
-	if e.timed {
-		d := obs.Nanotime() - start
-		e.observeDeltas(d)
-		e.met.pushNanos.Observe(d)
-	}
-	return nil
+	e.one[0] = Arrival{Stream: streamID, TS: ts, Vals: vals}
+	err := e.pushBatchFrom(0, e.one[:])
+	e.one[0].Vals = nil // do not pin the caller's values
+	return err
 }
 
 // observeDeltas charges every output delta applied since the last flush
@@ -337,19 +322,20 @@ type Arrival struct {
 	Vals   []tuple.Value
 }
 
-// PushBatch admits a run of arrivals in one call. Semantics are identical to
-// calling Push once per element — maintenance still runs at every timestamp
-// change inside the batch — but the work is vectorized: the batch is split
-// into maximal contiguous same-(stream, timestamp) runs, each run advances
-// the clock and counts arrivals once, and whole runs flow down the plan
-// through ProcessBatch with pooled Emit buffers instead of per-tuple Process
-// calls (DESIGN.md "Batch execution"). Runs never regroup tuples across
-// streams or timestamps, so every operator sees exactly the input sequence
-// the tuple-at-a-time path would deliver. Per-call overhead (wall-clock
-// sampling, state sampling) is likewise paid once per batch: MetricPushNanos
-// records one observation covering the whole batch, and state is sampled only
-// when a sampling point (first arrival or a 64-arrival boundary) fell inside
-// it.
+// PushBatch admits a run of arrivals in one call; Push is a batch of one.
+// The whole batch is validated first (validateBatch): a malformed,
+// unknown-stream or time-regressing arrival is rejected before any state
+// changes. Admission is then vectorized: the batch is split into maximal
+// contiguous same-(stream, timestamp) runs, each run advances the clock and
+// counts arrivals once, and whole runs flow down the plan through
+// ProcessBatch with reused Emit buffers (DESIGN.md "Batch execution").
+// Maintenance still runs at every timestamp change, and runs never regroup
+// tuples across streams or timestamps, so every operator sees the same input
+// sequence one-at-a-time admission would deliver. Per-call overhead
+// (wall-clock sampling, state sampling) is paid once per batch:
+// MetricPushNanos records one observation covering the whole batch, and
+// state is sampled only when a sampling point (first arrival or a 64-arrival
+// boundary) fell inside it.
 func (e *Engine) PushBatch(batch []Arrival) error {
 	return e.pushBatchFrom(0, batch)
 }
@@ -361,6 +347,9 @@ func (e *Engine) PushBatch(batch []Arrival) error {
 func (e *Engine) pushBatchFrom(origin int64, batch []Arrival) error {
 	if len(batch) == 0 {
 		return nil
+	}
+	if err := e.validateBatch(batch); err != nil {
+		return err
 	}
 	var start int64
 	if e.timed {
@@ -393,14 +382,61 @@ func (e *Engine) pushBatchFrom(origin int64, batch []Arrival) error {
 	return nil
 }
 
-// ingestRun admits a maximal same-(stream, timestamp) run: validation, clock
+// validateBatch checks every arrival in one pass over the batch's runs:
+// timestamps non-decreasing from the clock, a source for the stream, and
+// values that match each reading source's schema in arity and kind (KindNull
+// fits any column). Errors wrap ErrTimeRegression, ErrUnknownStream or
+// ErrSchema with the offending batch index.
+func (e *Engine) validateBatch(batch []Arrival) error {
+	clock := e.clock
+	for i := 0; i < len(batch); {
+		stream, ts := batch[i].Stream, batch[i].TS
+		if ts < clock {
+			return fmt.Errorf("exec: batch[%d]: timestamp %d before %d: %w", i, ts, clock, ErrTimeRegression)
+		}
+		clock = ts
+		j := i + 1
+		for j < len(batch) && batch[j].Stream == stream && batch[j].TS == ts {
+			j++
+		}
+		fed := false
+		for _, src := range e.sources {
+			if src.StreamID != stream {
+				continue
+			}
+			fed = true
+			for k := i; k < j; k++ {
+				if err := conform(src.Schema, batch[k].Vals); err != nil {
+					return fmt.Errorf("exec: batch[%d]: stream %d: %v: %w", k, stream, err, ErrSchema)
+				}
+			}
+		}
+		if !fed {
+			return fmt.Errorf("exec: batch[%d]: stream %d: %w", i, stream, ErrUnknownStream)
+		}
+		i = j
+	}
+	return nil
+}
+
+// conform describes how vals fails to fit schema, or returns nil.
+func conform(schema *tuple.Schema, vals []tuple.Value) error {
+	if len(vals) != schema.Len() {
+		return fmt.Errorf("%d values, schema has %d columns", len(vals), schema.Len())
+	}
+	for i := range vals {
+		if k := vals[i].Kind; k != schema.Col(i).Kind && k != tuple.KindNull {
+			return fmt.Errorf("column %d is %v, value is %v", i, schema.Col(i).Kind, k)
+		}
+	}
+	return nil
+}
+
+// ingestRun admits a validated maximal same-(stream, timestamp) run: clock
 // advance, arrival counting, and maintenance happen once for the whole run
 // (per-tuple they would no-op after the first arrival anyway, since the clock
 // does not move), then the stamped tuples flow down the plan as one batch.
 func (e *Engine) ingestRun(streamID int, ts int64, run []Arrival) error {
-	if ts < e.clock {
-		return fmt.Errorf("exec: timestamp %d regresses before %d", ts, e.clock)
-	}
 	if err := e.advance(ts); err != nil {
 		return err
 	}
@@ -425,37 +461,33 @@ func (e *Engine) ingestRun(streamID int, ts int64, run []Arrival) error {
 			src = s
 		}
 	}
-	switch matches {
-	case 0:
-		return fmt.Errorf("exec: no source for stream %d", streamID)
-	case 1:
+	if matches == 1 {
 		return e.ingestRunSingle(src, ts, run)
-	default:
-		// Several windows read this stream (self-join shapes, or two queries
-		// with incompatible window specs): the per-tuple path interleaves
-		// stamped tuples and evictions across the sources, so batching a run
-		// would reorder deliveries. Keep it exact.
-		for _, a := range run {
-			for _, s := range e.sources {
-				if s.StreamID != streamID {
-					continue
-				}
-				stamped, evicted, err := s.Window.Arrive(tuple.New(ts, a.Vals...))
-				if err != nil {
+	}
+	// Several windows read this stream (self-join shapes, or two queries
+	// with incompatible window specs): stamped tuples and evictions
+	// interleave across the sources arrival by arrival, so batching a run
+	// would reorder deliveries. Keep it exact.
+	for _, a := range run {
+		for _, s := range e.sources {
+			if s.StreamID != streamID {
+				continue
+			}
+			stamped, evicted, err := s.Window.Arrive(tuple.New(ts, a.Vals...))
+			if err != nil {
+				return err
+			}
+			if err := e.feedSource(s, stamped); err != nil {
+				return err
+			}
+			for _, ev := range evicted {
+				if err := e.feedSource(s, ev.Negative(ts)); err != nil {
 					return err
-				}
-				if err := e.feedSource(s, stamped); err != nil {
-					return err
-				}
-				for _, ev := range evicted {
-					if err := e.feedSource(s, ev.Negative(ts)); err != nil {
-						return err
-					}
 				}
 			}
 		}
-		return nil
 	}
+	return nil
 }
 
 // ingestRunSingle stamps a run through its (single) source window and feeds
@@ -464,14 +496,6 @@ func (e *Engine) ingestRun(streamID int, ts int64, run []Arrival) error {
 // arrival's, so an eviction flushes the stamped prefix before the negatives
 // go down — time-based windows never evict here and forward the run intact.
 func (e *Engine) ingestRunSingle(src *plan.PSource, ts int64, run []Arrival) error {
-	if e.colOK {
-		handled, err := e.ingestRunCols(src, ts, run)
-		if handled {
-			return err
-		}
-		// Kind-nonconforming run: the engine just demoted itself; replay the
-		// run through the row path below (the window has not seen it yet).
-	}
 	stamped := e.batchScratch[:0]
 	for _, a := range run {
 		st, evicted, err := src.Window.Arrive(tuple.New(ts, a.Vals...))
@@ -499,63 +523,11 @@ func (e *Engine) ingestRunSingle(src *plan.PSource, ts int64, run []Arrival) err
 	return err
 }
 
-// ingest is the shared arrival path of Push and PushBatch: validate, advance,
-// count, and feed the matching window leaves.
-func (e *Engine) ingest(streamID int, ts int64, vals []tuple.Value) error {
-	if ts < e.clock {
-		return fmt.Errorf("exec: timestamp %d regresses before %d", ts, e.clock)
-	}
-	if err := e.advance(ts); err != nil {
-		return err
-	}
-	e.met.arrivals.Inc()
-	if e.tracer.Wants(obs.EvArrival) {
-		e.tracer.Emit(obs.Event{Kind: obs.EvArrival, TS: ts, Stream: streamID})
-	}
-	if e.spanEvery > 0 {
-		e.spanLeft--
-		if e.spanLeft <= 0 {
-			e.spanLeft = e.spanEvery
-			e.spanActive = e.tracer.Wants(obs.EvDeltaSpan)
-		}
-	}
-	fed := false
-	for _, src := range e.sources {
-		if src.StreamID != streamID {
-			continue
-		}
-		fed = true
-		// The tuple-at-a-time path stays row-form, but it feeds the same
-		// operator state the columnar path probes: demote the engine before a
-		// kind-nonconforming tuple can plant state a kernel cannot lay out.
-		if e.colOK && !valsConform(src.Schema, vals) {
-			e.colOK = false
-			e.colDemoted = true
-		}
-		stamped, evicted, err := src.Window.Arrive(tuple.New(ts, vals...))
-		if err != nil {
-			return err
-		}
-		if err := e.feedSource(src, stamped); err != nil {
-			return err
-		}
-		for _, ev := range evicted { // count-based eviction
-			if err := e.feedSource(src, ev.Negative(ts)); err != nil {
-				return err
-			}
-		}
-	}
-	if !fed {
-		return fmt.Errorf("exec: no source for stream %d", streamID)
-	}
-	return nil
-}
-
 // Advance moves logical time forward with no arrival, so expirations alone
 // can update the answer (the Section 2.3 aggregate example).
 func (e *Engine) Advance(ts int64) error {
 	if ts < e.clock {
-		return fmt.Errorf("exec: time %d regresses before %d", ts, e.clock)
+		return fmt.Errorf("exec: time %d before %d: %w", ts, e.clock, ErrTimeRegression)
 	}
 	var t0 int64
 	if e.timed {
@@ -572,7 +544,7 @@ func (e *Engine) Advance(ts int64) error {
 // consequences (for retroactive tables) through the plan.
 func (e *Engine) ApplyTableUpdate(tbl *relation.Table, u relation.Update) error {
 	if u.TS < e.clock {
-		return fmt.Errorf("exec: table update at %d regresses before %d", u.TS, e.clock)
+		return fmt.Errorf("exec: table update at %d before %d: %w", u.TS, e.clock, ErrTimeRegression)
 	}
 	var t0 int64
 	if e.timed {
@@ -601,7 +573,7 @@ func (e *Engine) ApplyTableUpdate(tbl *relation.Table, u relation.Update) error 
 // way).
 func (e *Engine) RouteTableUpdate(tbl *relation.Table, u relation.Update) error {
 	if u.TS < e.clock {
-		return fmt.Errorf("exec: table update at %d regresses before %d", u.TS, e.clock)
+		return fmt.Errorf("exec: table update at %d before %d: %w", u.TS, e.clock, ErrTimeRegression)
 	}
 	var t0 int64
 	if e.timed {
@@ -884,8 +856,9 @@ func (e *Engine) feedSourceBatch(src *plan.PSource, ts []tuple.Tuple) error {
 // feedBatch processes a same-side run at node — natively when the operator
 // implements BatchProcessor, through the generic fallback loop otherwise —
 // and pushes the accumulated emissions toward the root as one run. Input
-// polarity counters are batched into two atomic adds; the Emit buffer is
-// pooled, so steady-state batch execution allocates no output slices.
+// polarity counters are batched into two atomic adds; the Emit buffer comes
+// from the engine's free list, so steady-state batch execution allocates no
+// output slices.
 func (e *Engine) feedBatch(node *plan.PNode, side int, in []tuple.Tuple) error {
 	st := node.Scratch.(*opStats)
 	var pos, neg int64
@@ -907,7 +880,13 @@ func (e *Engine) feedBatch(node *plan.PNode, side int, in []tuple.Tuple) error {
 	if measured {
 		start = obs.Nanotime()
 	}
-	out := operator.GetEmit()
+	var out *operator.Emit
+	if n := len(e.emits); n > 0 {
+		out = e.emits[n-1]
+		e.emits = e.emits[:n-1]
+	} else {
+		out = new(operator.Emit)
+	}
 	err := operator.ProcessBatchInto(node.Op, side, in, e.clock, out)
 	if measured {
 		d := obs.Nanotime() - start
@@ -923,7 +902,8 @@ func (e *Engine) feedBatch(node *plan.PNode, side int, in []tuple.Tuple) error {
 	if err == nil {
 		err = e.propagateBatch(node, out.Tuples())
 	}
-	operator.PutEmit(out)
+	out.Reset()
+	e.emits = append(e.emits, out)
 	return err
 }
 

@@ -28,6 +28,19 @@ func buildEngine(t *testing.T, root *plan.Node, s plan.Strategy, cfg Config) *En
 	return eng
 }
 
+// buildPhys annotates and builds a fresh physical plan.
+func buildPhys(t *testing.T, root *plan.Node, s plan.Strategy, opts plan.Options) *plan.Physical {
+	t.Helper()
+	if err := plan.Annotate(root, plan.DefaultStats()); err != nil {
+		t.Fatal(err)
+	}
+	phys, err := plan.Build(root, s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return phys
+}
+
 func simpleSelect(windowSize int64) *plan.Node {
 	src := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: windowSize}, linkSchema())
 	return plan.NewSelect(src, operator.True{})

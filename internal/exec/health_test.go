@@ -106,7 +106,7 @@ func TestBuiltinRuleShardQueueDepth(t *testing.T) {
 	reg, h := newRuleHarness(HealthSLO{Window: 3})
 	depth := reg.Gauge(MetricShardQueueDepth, "", obs.Labels{"shard": "1"})
 	reg.Gauge(MetricShardQueueDepth, "", obs.Labels{"shard": "0"}).Set(0)
-	h.Tick() // baseline
+	h.Tick()              // baseline
 	depth.Set(shardQueue) // stalled: queue pinned at capacity
 	h.Tick()              // breach #1: pending only (ForTicks 2)
 	if got := ruleStatus(t, h, RuleShardQueueDepth); got.Severity != obs.SevOK {
@@ -197,7 +197,7 @@ func TestBuiltinRuleDeltaP99(t *testing.T) {
 	lat := reg.LogHistogram(MetricDeltaLatency, "", obs.Labels{"polarity": PolarityPos})
 	reg.LogHistogram(MetricDeltaLatency, "", obs.Labels{"polarity": PolarityNeg}).
 		ObserveN(10e9, 100) // neg-polarity tail must not count against the SLO
-	h.Tick()               // baseline
+	h.Tick() // baseline
 	lat.ObserveN((5 * time.Millisecond).Nanoseconds(), 50)
 	h.Tick()
 	h.Tick() // ForTicks 2
@@ -228,7 +228,7 @@ func TestBuiltinRuleDeltaP99DisabledWithoutSLO(t *testing.T) {
 // subsystem-vs-engine thread-safety gate, and on a healthy run every rule
 // must hold OK.
 func TestEngineHealthLiveIngest(t *testing.T) {
-	eng := benchQ1Engine(t, 5000, true, true)
+	eng := benchQ1Engine(t, 5000, true)
 	hist := obs.NewHistory(eng.Metrics(), obs.HistoryConfig{Capacity: 64, Interval: time.Millisecond})
 	var alerts []obs.Transition
 	var mu sync.Mutex
@@ -278,12 +278,12 @@ func TestEngineHealthLiveIngest(t *testing.T) {
 	}
 }
 
-// BenchmarkIngestColQ1UPAHealth is BenchmarkIngestColQ1UPA plus the full
+// BenchmarkIngestBatchQ1UPAHealth is BenchmarkIngestBatchQ1UPA plus the full
 // health subsystem live (sampler goroutine at the default 1 s interval,
 // built-in rules evaluating every tick). CI's bench smoke holds this
-// within 5% of the base benchmark — the tentpole's overhead budget.
-func BenchmarkIngestColQ1UPAHealth(b *testing.B) {
-	eng := benchQ1Engine(b, 5000, true, true)
+// within 5% of the base benchmark — the health subsystem's overhead budget.
+func BenchmarkIngestBatchQ1UPAHealth(b *testing.B) {
+	eng := benchQ1Engine(b, 5000, true)
 	hist := obs.NewHistory(eng.Metrics(), obs.HistoryConfig{})
 	h := obs.NewHealth(hist, eng.HealthRules(HealthSLO{DeltaP99: time.Second})...)
 	h.Start()

@@ -310,7 +310,6 @@ func (e *Engine) RegisterQuery(spec QuerySpec) (*QueryHandle, error) {
 		e.phys, e.view = q.phys, q.view
 	}
 	e.rebuildMaintenance()
-	e.recomputeColPath()
 	return &QueryHandle{e: e, q: q}, nil
 }
 
@@ -371,17 +370,6 @@ func (e *Engine) rebuildMaintenance() {
 	}
 }
 
-// recomputeColPath re-derives the columnar fast-path gate after a
-// registration change. The data-driven demotion latch survives: once an
-// arrival has planted row-form state no registration change can make the
-// kernels safe again.
-func (e *Engine) recomputeColPath() {
-	e.colOK = !e.cfg.NoColumnar && !e.colDemoted && e.colPlanSupported()
-	if e.colOK {
-		e.initColPath()
-	}
-}
-
 // UnregisterQuery removes a registered query: its references on shared nodes
 // are released, orphaned nodes are retired from the dataflow with their
 // state buffers cleared back to the arenas, and the query's view is dropped.
@@ -433,7 +421,6 @@ func (e *Engine) UnregisterQuery(h *QueryHandle) (freed int, err error) {
 		delete(e.nodeRefs, pn)
 		delete(e.canonID, pn)
 		delete(e.eager, pn)
-		delete(e.colOut, pn)
 	}
 	for s := range retiredS {
 		freed += s.Window.Len()
@@ -447,7 +434,6 @@ func (e *Engine) UnregisterQuery(h *QueryHandle) (freed int, err error) {
 		}
 		delete(e.srcRefs, s)
 		delete(e.canonID, s)
-		delete(e.colSrc, s)
 	}
 
 	if len(retiredN) > 0 {
@@ -484,7 +470,6 @@ func (e *Engine) UnregisterQuery(h *QueryHandle) (freed int, err error) {
 		e.phys, e.view = nil, nil
 	}
 	e.rebuildMaintenance()
-	e.recomputeColPath()
 	e.refreshStateGauges()
 	return freed, nil
 }

@@ -29,7 +29,8 @@ import (
 //	operator state, one section per canonical operator in registration
 //	  (children-first) order
 //	view state, one section per query in registration order
-//	interner + columnar flag
+//	(format v2 only: interner symbol table + columnar flag, discarded on
+//	  read)
 //
 // Shared state is written once — a node serving eight queries contributes
 // one section. The fingerprint pins the full registration sequence (names,
@@ -124,12 +125,6 @@ func (e *Engine) CheckpointRegistry(w io.Writer) error {
 			return err
 		}
 	}
-	strs := e.intern.Strings()
-	enc.Uvarint(uint64(len(strs)))
-	for _, s := range strs {
-		enc.String(s)
-	}
-	enc.Bool(e.colOK)
 	if err := enc.Err(); err != nil {
 		return err
 	}
@@ -220,22 +215,10 @@ func (e *Engine) RestoreRegistry(r io.Reader) error {
 			return err
 		}
 	}
-	sn := dec.Count()
+	skipV2SymbolTable(dec)
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	strs := make([]string, 0, sn)
-	for i := 0; i < sn; i++ {
-		strs = append(strs, dec.String())
-	}
-	savedColOK := dec.Bool()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if err := e.intern.Reset(strs); err != nil {
-		return fmt.Errorf("%w: %v", checkpoint.ErrCorrupt, err)
-	}
-	e.colOK = e.colOK && savedColOK
 	e.met.clock.Set(e.clock)
 	e.met.watermark.Set(e.Watermark())
 	e.refreshStateGauges()
@@ -297,11 +280,5 @@ func (h *QueryHandle) Checkpoint(w io.Writer) error {
 	if err := vs.SaveState(enc); err != nil {
 		return err
 	}
-	strs := e.intern.Strings()
-	enc.Uvarint(uint64(len(strs)))
-	for _, s := range strs {
-		enc.String(s)
-	}
-	enc.Bool(e.colOK)
 	return enc.Err()
 }

@@ -103,55 +103,49 @@ func TestRegistrySharesIdenticalPlans(t *testing.T) {
 	}
 }
 
-// TestRegistrySharedGroupByColumnar registers two identical group-by queries
-// — protocol grouping with count and summed bytes — on one registry and feeds
-// it batched runs, so the single deduplicated physical group-by executes
-// through the columnar kernel (interned-id group index, arena-carved key
-// copies) on behalf of both owners. Both handles must stay byte-identical to
-// a standalone engine pinned to the row path, and the run must stay columnar
-// throughout: shared sub-plans and the columnar stateful tail compose.
-func TestRegistrySharedGroupByColumnar(t *testing.T) {
-	gbPlan := func() *plan.Node {
-		src := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 50}, linkSchema())
-		return plan.NewGroupBy(src, []int{1},
-			operator.AggSpec{Kind: operator.Count},
-			operator.AggSpec{Kind: operator.Sum, Col: 2})
-	}
+// groupByPlan counts and sums bytes per protocol over one 50-tick window.
+func groupByPlan() *plan.Node {
+	src := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 50}, linkSchema())
+	return plan.NewGroupBy(src, []int{1},
+		operator.AggSpec{Kind: operator.Count},
+		operator.AggSpec{Kind: operator.Sum, Col: 2})
+}
+
+// TestRegistrySharedGroupBy registers two identical group-by queries —
+// protocol grouping with count and summed bytes — on one registry and feeds
+// it batched runs, so the single deduplicated physical group-by executes on
+// behalf of both owners. Both handles must stay byte-identical to a
+// standalone engine, with no update-pattern violations.
+func TestRegistrySharedGroupBy(t *testing.T) {
 	cfg := Config{LazyInterval: 7, EagerInterval: 1}
 	e := NewMulti(cfg)
-	q1, err := e.RegisterQuery(QuerySpec{Name: "gb1", Phys: buildPhys(t, gbPlan(), plan.UPA, plan.Options{})})
+	q1, err := e.RegisterQuery(QuerySpec{Name: "gb1", Phys: buildPhys(t, groupByPlan(), plan.UPA, plan.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := e.RegisterQuery(QuerySpec{Name: "gb2", Phys: buildPhys(t, gbPlan(), plan.UPA, plan.Options{})})
+	q2, err := e.RegisterQuery(QuerySpec{Name: "gb2", Phys: buildPhys(t, groupByPlan(), plan.UPA, plan.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(e.order) != 1 || len(e.sources) != 1 {
 		t.Fatalf("identical group-by plans did not dedupe: %d sources, %d operators", len(e.sources), len(e.order))
 	}
-	if !e.colOK {
-		t.Fatal("shared group-by plan did not engage the columnar path")
-	}
-	row := buildEngine(t, gbPlan(), plan.UPA, Config{LazyInterval: 7, EagerInterval: 1, NoColumnar: true})
+	std := buildEngine(t, groupByPlan(), plan.UPA, cfg)
 
-	trace := colTrace(1, 256)
+	trace := runTrace(1, 256)
 	batchFeed(t, e, trace)
-	batchFeed(t, row, trace)
-	if !e.colOK {
-		t.Fatal("columnar registry run demoted unexpectedly")
-	}
+	batchFeed(t, std, trace)
 	if v := e.Violations(); v != 0 {
-		t.Fatalf("shared columnar group-by raised %d update-pattern violations", v)
+		t.Fatalf("shared group-by raised %d update-pattern violations", v)
 	}
-	want := renderRows(snapshotOf(t, row))
+	want := renderRows(snapshotOf(t, std))
 	for _, h := range []*QueryHandle{q1, q2} {
 		rows, err := h.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := renderRows(rows); got != want {
-			t.Fatalf("%s view != standalone row-path engine\ngot:\n%swant:\n%s", h.Name(), got, want)
+			t.Fatalf("%s view != standalone engine\ngot:\n%swant:\n%s", h.Name(), got, want)
 		}
 	}
 }

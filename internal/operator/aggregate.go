@@ -68,39 +68,26 @@ func newAggState(spec AggSpec) *aggState {
 	return s
 }
 
-// arg extracts the aggregated value from a row-form tuple; Count never reads
-// a column (its Col is ignored and may be out of range).
-func (s *aggState) arg(t tuple.Tuple) tuple.Value {
-	if s.spec.Kind == Count {
-		return tuple.Value{}
-	}
-	return t.Vals[s.spec.Col]
-}
-
-func (s *aggState) add(t tuple.Tuple) { s.addValue(s.arg(t)) }
-
-func (s *aggState) remove(t tuple.Tuple) { s.removeValue(s.arg(t)) }
-
-// addValue folds one arrival's value in. The columnar kernel calls this
-// directly with values read from the typed vectors, so aggregate maintenance
-// needs no row materialization.
-func (s *aggState) addValue(v tuple.Value) {
+// add folds one arrival in; Count never reads a column (its Col is ignored
+// and may be out of range).
+func (s *aggState) add(t tuple.Tuple) {
 	s.n++
 	switch s.spec.Kind {
 	case Sum, Avg:
-		s.sum += v.AsFloat()
+		s.sum += t.Vals[s.spec.Col].AsFloat()
 	case Min, Max:
-		s.multi[v]++
+		s.multi[t.Vals[s.spec.Col]]++
 	}
 }
 
-// removeValue subtracts one departure's value.
-func (s *aggState) removeValue(v tuple.Value) {
+// remove subtracts one departure.
+func (s *aggState) remove(t tuple.Tuple) {
 	s.n--
 	switch s.spec.Kind {
 	case Sum, Avg:
-		s.sum -= v.AsFloat()
+		s.sum -= t.Vals[s.spec.Col].AsFloat()
 	case Min, Max:
+		v := t.Vals[s.spec.Col]
 		if s.multi[v] <= 1 {
 			delete(s.multi, v)
 		} else {

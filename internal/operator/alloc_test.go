@@ -46,10 +46,9 @@ func allocBatch() []tuple.Tuple {
 func TestSelectBatchAllocFree(t *testing.T) {
 	s := NewSelect(linkSchema(), ColConst{Col: 1, Op: EQ, Val: tuple.String_("ftp")})
 	in := allocBatch()
-	out := GetEmit()
-	defer PutEmit(out)
+	out := new(Emit)
 	// Warm the Emit to the run's emission count so steady-state runs only
-	// reuse capacity, as the pooled buffers do in the executor.
+	// reuse capacity, as the executor's recycled buffers do.
 	if err := s.ProcessBatch(0, in, 10, out); err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +66,7 @@ func TestUnionBatchAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := allocBatch()
-	out := GetEmit()
-	defer PutEmit(out)
+	out := new(Emit)
 	if err := u.ProcessBatch(0, in, 10, out); err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +84,7 @@ func TestProjectBatchSingleAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := allocBatch()
-	out := GetEmit()
-	defer PutEmit(out)
+	out := new(Emit)
 	if err := p.ProcessBatch(0, in, 10, out); err != nil {
 		t.Fatal(err)
 	}

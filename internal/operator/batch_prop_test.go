@@ -3,11 +3,10 @@ package operator
 // Property test for the batch execution contract: for any operator and any
 // random event script (positive runs, retractions, Advance interleavings),
 // driving the script through (a) the tuple-at-a-time Process loop, (b) the
-// generic FallbackBatch driver, (c) ProcessBatchInto — the native
-// ProcessBatch where one exists — and (d) the columnar kernel where the
-// operator has one, must produce byte-identical emission renderings at every
-// step and leave identical StateSize()/Touched() accounting. Batch execution
-// is an optimization, never a semantic change.
+// generic FallbackBatch driver, and (c) ProcessBatchInto — the native
+// ProcessBatch where one exists — must produce byte-identical emission
+// renderings at every step and leave identical StateSize()/Touched()
+// accounting. Batch execution is an optimization, never a semantic change.
 
 import (
 	"fmt"
@@ -165,19 +164,7 @@ func TestBatchDriversEquivalent(t *testing.T) {
 				seq := op.make(t) // tuple-at-a-time Process loop
 				fb := op.make(t)  // generic FallbackBatch driver
 				nat := op.make(t) // ProcessBatchInto (native path if present)
-				col := op.make(t) // columnar kernel, when the operator has one
-				colSup := ColSupported(col)
-				if !colSup && op.name != "intersect" {
-					t.Fatalf("%s lost its columnar kernel", op.name)
-				}
-				intern := tuple.NewInterner()
-				var colIn, colOut *tuple.ColBatch
-				if colSup {
-					colIn = tuple.NewColBatch(linkSchema())
-					colOut = tuple.NewColBatch(col.Schema())
-				}
-				out := GetEmit() // pooled, recycled across events like the executor's
-				defer PutEmit(out)
+				out := new(Emit)  // reset and reused across events like the executor's
 				for i, ev := range script {
 					if ev.run == nil {
 						a, errA := seq.Advance(ev.now)
@@ -189,16 +176,6 @@ func TestBatchDriversEquivalent(t *testing.T) {
 						if renderEmissions(a) != renderEmissions(b) || renderEmissions(a) != renderEmissions(c) {
 							t.Fatalf("event %d: Advance(%d) emissions diverge\nseq:      %v\nfallback: %v\nnative:   %v",
 								i, ev.now, a, b, c)
-						}
-						if colSup {
-							d, errD := col.Advance(ev.now)
-							if errD != nil {
-								t.Fatalf("event %d: columnar Advance: %v", i, errD)
-							}
-							if renderEmissions(a) != renderEmissions(d) {
-								t.Fatalf("event %d: columnar Advance(%d) diverges\nseq:      %v\ncolumnar: %v",
-									i, ev.now, a, d)
-							}
 						}
 						continue
 					}
@@ -223,29 +200,11 @@ func TestBatchDriversEquivalent(t *testing.T) {
 						t.Fatalf("event %d: run emissions diverge (side %d, now %d, %d tuples)\nseq:      %v\nfallback: %v\nnative:   %v",
 							i, ev.side, ev.now, len(ev.run), a, bBuf.Tuples(), out.Tuples())
 					}
-					if colSup {
-						if !colIn.FromRows(ev.run, intern) {
-							t.Fatalf("event %d: run refused columnar layout", i)
-						}
-						colOut.Reset()
-						if err := ProcessColBatch(col, ev.side, colIn, ev.now, colOut, intern); err != nil {
-							t.Fatalf("event %d: ProcessColBatch: %v", i, err)
-						}
-						d := colOut.AppendRowsTo(nil, nil, intern)
-						if renderEmissions(a) != renderEmissions(d) {
-							t.Fatalf("event %d: columnar emissions diverge (side %d, now %d, %d tuples)\nseq:      %v\ncolumnar: %v",
-								i, ev.side, ev.now, len(ev.run), a, d)
-						}
-					}
 					// Accounting must track step by step, not just at the end:
 					// batch execution may not skip or duplicate state work.
 					if seq.StateSize() != fb.StateSize() || seq.StateSize() != nat.StateSize() {
 						t.Fatalf("event %d: StateSize diverges: seq=%d fallback=%d native=%d",
 							i, seq.StateSize(), fb.StateSize(), nat.StateSize())
-					}
-					if colSup && seq.StateSize() != col.StateSize() {
-						t.Fatalf("event %d: columnar StateSize diverges: seq=%d columnar=%d",
-							i, seq.StateSize(), col.StateSize())
 					}
 					if seq.Touched() != fb.Touched() || seq.Touched() != nat.Touched() {
 						t.Fatalf("event %d: Touched diverges: seq=%d fallback=%d native=%d",

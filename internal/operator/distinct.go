@@ -33,15 +33,6 @@ type Distinct struct {
 	trimEvery int64
 	lastTrim  int64
 	touched   int64
-	// hashedIn/hashedRep are the digest-taking views of input and expIdx when
-	// they are hash-keyed on all columns, so the columnar kernel hashes each
-	// row's key exactly once for every insert it feeds (colstateful.go).
-	hashedIn  statebuf.HashedBuffer
-	hashedRep statebuf.HashedBuffer
-	// colArena carves the value slices of rows the columnar kernel
-	// materializes; colEmit stages row-path emissions it copies column-major.
-	colArena tuple.ValueArena
-	colEmit  Emit
 }
 
 // DistinctConfig configures the literature duplicate-elimination operator.
@@ -89,16 +80,6 @@ func NewDistinct(cfg DistinctConfig) *Distinct {
 		timeExpiry: cfg.TimeExpiry,
 		trimEvery:  trimEvery,
 		lastTrim:   -1,
-	}
-	if ki, ok := d.input.(statebuf.KeyedInserter); ok && equalCols(ki.KeyCols(), d.allCols) {
-		if hb, ok := d.input.(statebuf.HashedBuffer); ok {
-			d.hashedIn = hb
-		}
-	}
-	if ki, ok := d.expIdx.(statebuf.KeyedInserter); ok && equalCols(ki.KeyCols(), d.allCols) {
-		if hb, ok := d.expIdx.(statebuf.HashedBuffer); ok {
-			d.hashedRep = hb
-		}
 	}
 	return d
 }

@@ -28,9 +28,6 @@ type DistinctDelta struct {
 	expIdx  statebuf.Buffer
 	allCols []int
 	clock   int64
-	// colArena carves the value slices of rows the columnar kernel stores
-	// (colstateful.go); duplicates materialize nothing.
-	colArena tuple.ValueArena
 }
 
 // NewDistinctDelta builds a δ operator; horizon bounds tuple lifetimes (the

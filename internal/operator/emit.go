@@ -1,25 +1,21 @@
 package operator
 
-import (
-	"sync"
-
-	"repro/internal/tuple"
-)
+import "repro/internal/tuple"
 
 // Emit is a reusable, append-only output buffer for batch execution. It
 // replaces the per-call []tuple.Tuple return slices of Operator.Process on
 // the hot path: operators append their emissions and the executor forwards
-// the accumulated run to the parent, then recycles the buffer.
+// the accumulated run to the parent, then resets the buffer for reuse.
 //
 // Ownership and aliasing rules (DESIGN.md "Batch execution"):
 //
 //   - The executor owns the Emit. Operators only Append during one
 //     ProcessBatch call and must not retain the buffer or the slice returned
 //     by Tuples across calls.
-//   - Tuples()' backing array is recycled when the buffer is returned to the
-//     pool; callers that need emissions beyond the current batch must copy
-//     the tuples out (the Tuple structs themselves are values — storing a
-//     copied Tuple is safe, retaining the slice is not).
+//   - Tuples()' backing array is reused once the executor resets the buffer
+//     for its next batch; callers that need emissions beyond the current
+//     batch must copy the tuples out (the Tuple structs themselves are
+//     values — storing a copied Tuple is safe, retaining the slice is not).
 //   - Vals slices inside appended tuples are NOT copied or recycled; they
 //     follow the same sharing discipline as the tuple-at-a-time path.
 type Emit struct {
@@ -33,7 +29,7 @@ func (e *Emit) Append(t tuple.Tuple) { e.ts = append(e.ts, t) }
 func (e *Emit) AppendAll(ts []tuple.Tuple) { e.ts = append(e.ts, ts...) }
 
 // Tuples returns the accumulated emissions in append order. The slice is
-// only valid until the buffer is Reset or returned to the pool.
+// only valid until the buffer is Reset.
 func (e *Emit) Tuples() []tuple.Tuple { return e.ts }
 
 // Len returns the number of accumulated emissions.
@@ -41,23 +37,6 @@ func (e *Emit) Len() int { return len(e.ts) }
 
 // Reset empties the buffer, keeping its capacity.
 func (e *Emit) Reset() { e.ts = e.ts[:0] }
-
-// emitPool recycles Emit buffers across batches so steady-state batch
-// execution allocates no output slices. Buffers start with room for a
-// typical run's emissions.
-var emitPool = sync.Pool{
-	New: func() any { return &Emit{ts: make([]tuple.Tuple, 0, 64)} },
-}
-
-// GetEmit fetches an empty buffer from the pool.
-func GetEmit() *Emit { return emitPool.Get().(*Emit) }
-
-// PutEmit resets e and returns it to the pool. The caller must not touch e
-// or any slice obtained from Tuples afterwards.
-func PutEmit(e *Emit) {
-	e.Reset()
-	emitPool.Put(e)
-}
 
 // BatchProcessor is the optional batch fast path of the operator contract:
 // ProcessBatch(side, in, now, out) must emit into out exactly the

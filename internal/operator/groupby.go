@@ -34,40 +34,24 @@ type GroupBy struct {
 	groups     map[tuple.Key]*groupState
 	clock      int64
 	timeExpiry bool
-	// hashedIn is the input buffer's digest-taking view when it is hash-keyed
-	// on the group columns, so the columnar kernel hashes each row's group key
-	// exactly once for both the map lookup and the state insert.
-	hashedIn statebuf.HashedBuffer
-	// colArena carves retained value slices — group key copies and rows the
-	// columnar kernel materializes for input state (colstateful.go).
-	colArena tuple.ValueArena
-	// colEmit stages row-path emissions the kernel copies column-major.
-	colEmit Emit
+	// arena carves the operator's retained value slices — group-key copies
+	// and emitted result rows — from shared slabs, so neither a new group nor
+	// a group update takes an allocation of its own. A slab is freed once no
+	// row carved from it is reachable; each live group holds its key and at
+	// most one current result row (a later row replaces it in the view), so
+	// the slabs kept alive are bounded by the live groups.
+	arena tuple.ValueArena
 	// advSeen/advOrder are the expiration wave's reusable scratch: the set and
 	// deterministic order of groups touched by one wave (the PR 2 eviction-
 	// scratch pattern, so steady-state waves allocate nothing).
 	advSeen  map[tuple.Key]bool
 	advOrder []tuple.Key
-	// idCol is the single string group column's input position, or -1. When
-	// set, the columnar kernel probes idGroups by the column vector's interned
-	// id — a 4-byte map key — instead of hashing the full composite Key per
-	// arrival. Entries attach lazily on kernel misses and are dropped at the
-	// two group-deletion sites (dropGroup); idIntern pins the interner whose
-	// ids the index speaks, so a batch from a different interner resets it.
-	idCol    int
-	idGroups map[uint32]*groupState
-	idIntern *tuple.Interner
 }
 
 type groupState struct {
 	keyVals []tuple.Value
 	aggs    []*aggState
 	last    tuple.Tuple // last emitted result row
-	// colVals is the kernel's reusable emission slice (see emitInto).
-	colVals []tuple.Value
-	// internID is the group's entry in the idGroups index (valid when hasID).
-	internID uint32
-	hasID    bool
 }
 
 // GroupByConfig configures a grouped aggregation.
@@ -130,18 +114,9 @@ func NewGroupBy(cfg GroupByConfig) (*GroupBy, error) {
 		groups:     make(map[tuple.Key]*groupState),
 		clock:      -1,
 		timeExpiry: !cfg.NoTimeExpiry && !cfg.NoInputStore,
-		idCol:      -1,
-	}
-	if len(cfg.GroupCols) == 1 && cfg.Input.Col(cfg.GroupCols[0]).Kind == tuple.KindString {
-		g.idCol = cfg.GroupCols[0]
 	}
 	if !cfg.NoInputStore {
 		g.input = statebuf.New(cfg.InputBuf)
-		if ki, ok := g.input.(statebuf.KeyedInserter); ok && equalCols(ki.KeyCols(), g.groupCols) {
-			if hb, ok := g.input.(statebuf.HashedBuffer); ok {
-				g.hashedIn = hb
-			}
-		}
 	}
 	return g, nil
 }
@@ -214,22 +189,22 @@ func (g *GroupBy) processOne(t tuple.Tuple, now int64, out *Emit) {
 }
 
 // keyValsOf copies the group columns into a retained slice carved from the
-// operator's arena — group creation shares slab space with the columnar
-// kernel's materializations instead of taking a dedicated allocation.
+// operator's arena.
 func (g *GroupBy) keyValsOf(t tuple.Tuple) []tuple.Value {
-	vals := g.colArena.Alloc(len(g.groupCols))
+	vals := g.arena.Alloc(len(g.groupCols))
 	for i, c := range g.groupCols {
 		vals[i] = t.Vals[c]
 	}
 	return vals
 }
 
-// emit builds and records the replacement result row for a group.
+// emit builds and records the replacement result row for a group, its
+// values carved from the operator's arena.
 func (g *GroupBy) emit(k tuple.Key, gs *groupState, now int64) tuple.Tuple {
-	vals := make([]tuple.Value, 0, len(gs.keyVals)+len(gs.aggs))
-	vals = append(vals, gs.keyVals...)
-	for _, a := range gs.aggs {
-		vals = append(vals, a.value())
+	vals := g.arena.Alloc(len(gs.keyVals) + len(gs.aggs))
+	n := copy(vals, gs.keyVals)
+	for i, a := range gs.aggs {
+		vals[n+i] = a.value()
 	}
 	r := tuple.Tuple{TS: now, Exp: tuple.NeverExpires, Vals: vals}
 	gs.last = r
@@ -248,21 +223,11 @@ func (g *GroupBy) applyRemoval(t tuple.Tuple, now int64, out *Emit) {
 		a.remove(t)
 	}
 	if gs.aggs[0].n == 0 {
-		g.dropGroup(k, gs)
+		delete(g.groups, k)
 		out.Append(gs.last.Negative(now))
 		return
 	}
 	out.Append(g.emit(k, gs, now))
-}
-
-// dropGroup removes a vanished group from the groups map and, when the group
-// was attached to the columnar kernel's interned-id index, from that index —
-// the one sync point that keeps a stale id from resurrecting a dead group.
-func (g *GroupBy) dropGroup(k tuple.Key, gs *groupState) {
-	delete(g.groups, k)
-	if gs.hasID {
-		delete(g.idGroups, gs.internID)
-	}
 }
 
 // Advance expires input state eagerly — aggregate values must stay correct
@@ -309,7 +274,7 @@ func (g *GroupBy) Advance(now int64) ([]tuple.Tuple, error) {
 			continue
 		}
 		if gs.aggs[0].n == 0 {
-			g.dropGroup(k, gs)
+			delete(g.groups, k)
 			out = append(out, gs.last.Negative(now))
 		} else {
 			out = append(out, g.emit(k, gs, now))

@@ -35,30 +35,9 @@ type Join struct {
 	// columns are the join columns, so processOne derives the composite key
 	// once per tuple for both insert and probe.
 	keyed [2]statebuf.KeyedInserter
-	// hashed narrows keyed further: the columnar kernel hands both sides the
-	// key's 64-bit digest, hashing each arrival's join key exactly once for
-	// its own side's insert and the opposite side's probe.
-	hashed [2]statebuf.HashedBuffer
 	// cands is the reusable probe-candidate scratch of matches.
 	cands []tuple.Tuple
-	// colArena carves the value slices of rows the columnar kernel has to
-	// materialize for state insertion/removal (see colkernel.go).
-	colArena tuple.ValueArena
-	// colRes stages the kernel's concatenated results when a residual
-	// predicate exists: the whole run's results accumulate column-major here,
-	// the residual evaluates once as a bitset mask over the staged vectors,
-	// and the survivors gather into the caller's output batch.
-	colRes *tuple.ColBatch
-	// colResBits is colRes's reusable mask, colResTmp its combinator scratch.
-	colResBits []uint64
-	colResTmp  [][]uint64
-	// mixedState latches true once state holds any row whose value slice the
-	// join does not own — row-path inserts store the caller's slice by
-	// reference, and restored checkpoints store the decoder's. While false,
-	// every stored row came from colArena, so Advance can recycle expired
-	// rows' slices back into it instead of carving fresh slab space.
-	mixedState bool
-	clock      int64
+	clock int64
 	// timeExpiry is false under the negative-tuple strategy: stored tuples
 	// are live until their retraction arrives, so probes must not skip
 	// them by exp timestamp.
@@ -116,9 +95,6 @@ func NewJoin(cfg JoinConfig) (*Join, error) {
 	for side := range j.state {
 		if ki, ok := j.state[side].(statebuf.KeyedInserter); ok && equalCols(ki.KeyCols(), j.keyCols[side]) {
 			j.keyed[side] = ki
-			if hb, ok := j.state[side].(statebuf.HashedBuffer); ok {
-				j.hashed[side] = hb
-			}
 		}
 	}
 	return j, nil
@@ -174,7 +150,6 @@ func (j *Join) processOne(side int, t tuple.Tuple, now int64, out *Emit) {
 		return
 	}
 	k := t.Key(j.keyCols[side])
-	j.mixedState = true // t.Vals is the caller's slice, stored by reference
 	if ki := j.keyed[side]; ki != nil {
 		ki.InsertKeyed(k, t)
 	} else {
@@ -220,22 +195,14 @@ func (j *Join) processNegative(side int, t tuple.Tuple, now int64, out *Emit) {
 }
 
 // Advance lazily discards expired state; window joins emit nothing on
-// expiration (their results expire downstream via exp timestamps). While all
-// stored rows are arena-owned (no row-path insert or restore has happened),
-// the expired rows' value slices go back to the arena for the next
-// materialization instead of to the garbage collector.
+// expiration (their results expire downstream via exp timestamps).
 func (j *Join) Advance(now int64) ([]tuple.Tuple, error) {
 	if now > j.clock {
 		j.clock = now
 	}
 	if j.timeExpiry {
 		for side := range j.state {
-			expired := j.state[side].ExpireUpTo(j.clock)
-			if !j.mixedState {
-				for i := range expired {
-					j.colArena.Recycle(expired[i].Vals)
-				}
-			}
+			j.state[side].ExpireUpTo(j.clock)
 		}
 	}
 	return nil, nil

@@ -50,17 +50,6 @@ type Negate struct {
 	// signal that drives the STR storage choice in Section 5.3.2.
 	prematureRetractions int64
 	touched              int64
-	// colArena carves the value slices of rows the columnar kernel
-	// materializes; colEmit stages row-path emissions it copies column-major
-	// (colstateful.go).
-	colArena tuple.ValueArena
-	colEmit  Emit
-	// rowFed flips permanently once any row-path batch reaches the operator.
-	// Until then every stored W1 row is arena-carved and exclusively owned,
-	// so NT-mode removals (no calendars retaining the tuple) can recycle the
-	// row immediately; after a row-path batch, stored rows may be caller-owned
-	// or referenced by downstream emissions, and recycling must stop for good.
-	rowFed bool
 	// advSeen/advOrder are the expiration wave's reusable key scratch.
 	advSeen  map[tuple.Key]bool
 	advOrder []tuple.Key
@@ -197,7 +186,6 @@ func (n *Negate) Process(side int, t tuple.Tuple, now int64) ([]tuple.Tuple, err
 	if side != 0 && side != 1 {
 		return nil, badSide("negate", side)
 	}
-	n.rowFed = true
 	var out Emit
 	adv, err := n.Advance(now)
 	if err != nil {
@@ -215,7 +203,6 @@ func (n *Negate) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit) 
 	if side != 0 && side != 1 {
 		return badSide("negate", side)
 	}
-	n.rowFed = true
 	adv, err := n.Advance(now)
 	if err != nil {
 		return err
@@ -234,12 +221,7 @@ func (n *Negate) processOne(side int, t tuple.Tuple, now int64, out *Emit) {
 	if side == 1 {
 		cols = n.rightCols
 	}
-	n.processKeyed(side, t.Key(cols), t, now, out)
-}
-
-// processKeyed is processOne with the negation key precomputed — the columnar
-// kernel derives it from the column vectors instead of the row.
-func (n *Negate) processKeyed(side int, k tuple.Key, t tuple.Tuple, now int64, out *Emit) {
+	k := t.Key(cols)
 	switch {
 	case side == 0 && !t.Neg:
 		g := n.w1[k]
@@ -353,15 +335,6 @@ func (n *Negate) dropW1(k tuple.Key, g *negGroup, i int) {
 		g.dropMember(e)
 	}
 	g.entries = append(g.entries[:i], g.entries[i+1:]...)
-	// Pure-columnar NT mode: every stored row was carved from colArena and no
-	// calendar retains it, so the dropped row's slice is exclusively ours —
-	// hand it back for the next materialization. Any emission referencing it
-	// (the retraction staged just before this drop) is copied column-major
-	// before the kernel materializes another row, so the recycled slice cannot
-	// be overwritten while still referenced.
-	if !n.rowFed && !n.timeExpiry {
-		n.colArena.Recycle(e.t.Vals)
-	}
 	n.entries.put(e)
 	if len(g.entries) == 0 {
 		delete(n.w1, k)

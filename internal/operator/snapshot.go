@@ -103,12 +103,9 @@ func (j *Join) SaveState(enc *checkpoint.Encoder) error {
 	return saveBuf(enc, j.state[1])
 }
 
-// LoadState implements checkpoint.Snapshotter. Restored rows hold
-// decoder-built value slices, not arena rows, so expired-row recycling stays
-// off for this join (see Join.mixedState).
+// LoadState implements checkpoint.Snapshotter.
 func (j *Join) LoadState(dec *checkpoint.Decoder) error {
 	j.clock = dec.Varint()
-	j.mixedState = true
 	if err := loadBuf(dec, j.state[0]); err != nil {
 		return err
 	}
@@ -242,10 +239,6 @@ func (g *GroupBy) LoadState(dec *checkpoint.Decoder) error {
 		}
 	}
 	g.groups = make(map[tuple.Key]*groupState)
-	// The interned-id index holds pointers into the replaced group map; the
-	// kernel rebuilds it lazily against whatever interner feeds it next.
-	g.idGroups = nil
-	g.idIntern = nil
 	n := dec.Count()
 	for i := 0; i < n && dec.Err() == nil; i++ {
 		k := dec.Key()

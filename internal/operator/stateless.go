@@ -13,14 +13,6 @@ import (
 type Select struct {
 	pred   Predicate
 	schema *tuple.Schema
-	// colBits and colBitsTmp back the columnar kernel's packed bitset masks
-	// across batches (see colmask.go), so steady-state mask evaluation
-	// allocates nothing. colMask and colTmp are the retired []bool
-	// equivalents, kept for the mask-evaluation benchmark comparison.
-	colBits    []uint64
-	colBitsTmp [][]uint64
-	colMask    []bool
-	colTmp     [][]bool
 }
 
 // NewSelect builds a selection operator.

@@ -147,64 +147,6 @@ func (w *Window) Arrive(t tuple.Tuple) (stamped tuple.Tuple, evicted []tuple.Tup
 	return stamped, evicted, nil
 }
 
-// StampRun admits a whole run of n same-timestamp arrivals at once,
-// returning the expiration timestamp every tuple in the run receives — the
-// vectorized form of per-tuple Arrive for the columnar ingest path, which
-// stamps the Exp column in one pass. It is only valid for non-materialized
-// windows (the columnar path is ruled out when any window materializes):
-// materialized contents and count-based eviction still require per-tuple
-// Arrive.
-func (w *Window) StampRun(ts int64, n int) (int64, error) {
-	if w.buf != nil {
-		return 0, fmt.Errorf("window: StampRun on a materialized window")
-	}
-	if ts < w.lastTS {
-		return 0, fmt.Errorf("window: non-decreasing timestamps required (got %d after %d)", ts, w.lastTS)
-	}
-	w.lastTS = ts
-	w.count += int64(n)
-	if w.spec.Type == TimeBased && w.spec.Size > 0 {
-		return ts + w.spec.Size, nil
-	}
-	return tuple.NeverExpires, nil
-}
-
-// AdmitRunCols admits a whole columnar run of n same-timestamp arrivals into
-// a time-based window, returning the expiration timestamp every tuple
-// receives — StampRun's counterpart for materialized (negative-tuple
-// strategy) windows. The stored contents are materialized from the vectors
-// with one shared backing array per run, so admission costs one allocation
-// per run rather than per tuple. Count-based windows are excluded: their
-// eviction is arrival-driven and stays on the per-tuple row path.
-func (w *Window) AdmitRunCols(ts int64, cb *tuple.ColBatch, in *tuple.Interner) (int64, error) {
-	if w.spec.Type != TimeBased {
-		return 0, fmt.Errorf("window: AdmitRunCols on a count-based window")
-	}
-	if ts < w.lastTS {
-		return 0, fmt.Errorf("window: non-decreasing timestamps required (got %d after %d)", ts, w.lastTS)
-	}
-	w.lastTS = ts
-	n := cb.Len()
-	w.count += int64(n)
-	exp := tuple.NeverExpires
-	if w.spec.Size > 0 {
-		exp = ts + w.spec.Size
-	}
-	if w.buf != nil {
-		width := cb.Width()
-		backing := make([]tuple.Value, n*width)
-		for i := 0; i < n; i++ {
-			vals := backing[:width:width]
-			backing = backing[width:]
-			for c := 0; c < width; c++ {
-				vals[c] = cb.ValueAt(i, c, in)
-			}
-			w.buf.Insert(tuple.Tuple{TS: ts, Exp: exp, Vals: vals})
-		}
-	}
-	return exp, nil
-}
-
 func (w *Window) evictOldest(n int64) []tuple.Tuple {
 	out := w.scratch[:0]
 	for i := int64(0); i < n; i++ {

@@ -169,53 +169,3 @@ func BenchmarkCountWindowEviction(b *testing.B) {
 		}
 	}
 }
-
-// TestStampRun checks the vectorized run admission agrees with per-tuple
-// Arrive: same Exp stamp, same arrival count, same monotonicity error.
-func TestStampRun(t *testing.T) {
-	w, err := New(Spec{Type: TimeBased, Size: 500}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp, err := w.StampRun(100, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exp != 600 {
-		t.Fatalf("Exp = %d, want 600", exp)
-	}
-	if w.Arrivals() != 8 {
-		t.Fatalf("Arrivals = %d, want 8", w.Arrivals())
-	}
-	// Equal timestamps are fine; regressions are not.
-	if _, err := w.StampRun(100, 1); err != nil {
-		t.Fatalf("equal-TS run rejected: %v", err)
-	}
-	if _, err := w.StampRun(99, 1); err == nil {
-		t.Fatal("regressing-TS run accepted")
-	}
-	// Arrive after StampRun sees the advanced cursor.
-	if _, _, err := w.Arrive(tuple.New(99, tuple.Int(1))); err == nil {
-		t.Fatal("Arrive accepted a timestamp behind StampRun's cursor")
-	}
-
-	unb, err := New(Unbounded, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp, err = unb.StampRun(5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exp != tuple.NeverExpires {
-		t.Fatalf("unbounded Exp = %d, want NeverExpires", exp)
-	}
-
-	mat, err := New(Spec{Type: TimeBased, Size: 500}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mat.StampRun(1, 1); err == nil {
-		t.Fatal("StampRun accepted a materialized window")
-	}
-}

@@ -249,3 +249,41 @@ func TestCloseContract(t *testing.T) {
 		})
 	}
 }
+
+// TestIngestErrorsFacade: the facade surfaces ingest rejections through its
+// own sentinels, and a rejected arrival leaves the answer untouched.
+func TestIngestErrorsFacade(t *testing.T) {
+	eng, err := repro.Compile(parityQuery(linkSchema()), repro.UPA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := eng.Push(0, 5, repro.Int(1), repro.Str("ftp"), repro.Int(5)); err != nil {
+		t.Fatal(err)
+	}
+	before, err := eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		push func() error
+		want error
+	}{
+		{"short", func() error { return eng.Push(0, 6, repro.Int(1)) }, repro.ErrSchema},
+		{"kind", func() error { return eng.Push(0, 6, repro.Str("1"), repro.Str("ftp"), repro.Int(5)) }, repro.ErrSchema},
+		{"stream", func() error { return eng.Push(7, 6, repro.Int(1), repro.Str("ftp"), repro.Int(5)) }, repro.ErrUnknownStream},
+		{"time", func() error { return eng.Push(0, 4, repro.Int(1), repro.Str("ftp"), repro.Int(5)) }, repro.ErrTimeRegression},
+	} {
+		if err := tc.push(); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	after, err := eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Errorf("rejected pushes changed the answer: %v, want %v", after, before)
+	}
+}

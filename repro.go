@@ -72,6 +72,18 @@ import (
 var (
 	// ErrClosed is returned by ingest and checkpoint calls after Close.
 	ErrClosed = errors.New("repro: engine is closed")
+	// ErrSchema is wrapped by Push/PushBatch errors for an arrival whose
+	// arity or value kinds do not match its stream's schema (KindNull fits
+	// any column). The error names the arrival's batch index; the batch is
+	// rejected whole, before any state changes.
+	ErrSchema = exec.ErrSchema
+	// ErrUnknownStream is wrapped by Push/PushBatch errors for an arrival on
+	// a stream no query reads; the batch is rejected whole.
+	ErrUnknownStream = exec.ErrUnknownStream
+	// ErrTimeRegression is wrapped by ingest, Advance and table-update
+	// errors whose timestamp precedes the engine clock (or, inside a batch,
+	// an earlier arrival); nothing is applied.
+	ErrTimeRegression = exec.ErrTimeRegression
 	// ErrNoKeyedView is returned by Lookup when the chosen view structure
 	// does not support keyed access (FIFO/list/partitioned views under
 	// DIRECT and most UPA plans — use Snapshot there).
@@ -332,8 +344,7 @@ type Engine struct {
 }
 
 // buildPhysical runs the compilation pipeline — annotate, optionally
-// optimize, physically plan — shared by Compile, CompilePipeline, and
-// Registry.Register.
+// optimize, physically plan — shared by Compile and Registry.Register.
 func buildPhysical(q Node, strategy Strategy, cfg *compileCfg) (*plan.Node, *plan.Physical, error) {
 	if q.err != nil {
 		return nil, nil, fmt.Errorf("repro: invalid query: %w", q.err)
