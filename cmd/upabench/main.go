@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/bench"
@@ -29,7 +28,6 @@ func main() {
 	exps := flag.String("exp", "", "comma-separated experiment ids (default: all)")
 	jsonOut := flag.Bool("json", false, "write results as one JSON report on stdout instead of text tables")
 	note := flag.String("note", "", "free-form caveat embedded in the -json report")
-	shardCounts := flag.String("shards", "", "comma-separated shard counts for the e9 sweep (default 1,2,4,8)")
 	metricsAddr := flag.String("metrics-addr", "", "serve the in-progress run's metrics/pprof on this address (e.g. :9090)")
 	health := flag.Bool("health", false, "monitor every run with the engine's built-in health rules and report alert transitions at exit")
 	list := flag.Bool("list", false, "list experiments and exit")
@@ -49,14 +47,6 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "serving metrics on http://%s/metrics (pprof at /debug/pprof/)\n", srv.Addr())
 	}
-	if *shardCounts != "" {
-		counts, err := parseCounts(*shardCounts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "upabench:", err)
-			os.Exit(1)
-		}
-		bench.SetShardSweep(counts)
-	}
 	if err := run(*scale, *exps, *list, *jsonOut, *note); err != nil {
 		fmt.Fprintln(os.Stderr, "upabench:", err)
 		os.Exit(1)
@@ -70,18 +60,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "health:", line)
 		}
 	}
-}
-
-func parseCounts(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -shards value %q (want positive integers, e.g. 1,2,4,8)", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func run(scaleName, expFilter string, list, jsonOut bool, note string) error {

@@ -6,7 +6,6 @@
 // Usage:
 //
 //	upaquery -query q1-ftp -strategy upa -window 5000
-//	upaquery -query q1-ftp -strategy upa -shards 4
 //	upaquery -query q3 -strategy nt -window 2000 -trace trace.csv
 //	upaquery -query q3 -strategy upa -explain
 //	upaquery -query q3 -strategy upa -analyze
@@ -19,7 +18,7 @@
 //	upaquery -list
 //
 // -explain prints the annotated physical plan (per-operator update-pattern
-// class, state structures, partition-key status) and exits without running;
+// class, state structures) and exits without running;
 // -analyze runs the trace and then prints the same tree with each
 // operator's live counters (EXPLAIN ANALYZE). With -metrics-addr the run
 // serves live Prometheus text-format metrics at /metrics (plus
@@ -34,10 +33,10 @@
 //
 // -health runs the self-monitoring subsystem during the run: a history
 // sampler over the engine's registry plus the built-in health rules
-// (pattern violations, premature expirations, shard backpressure, staleness
-// lag, checkpoint age, and — with -slo-p99 — the delta-latency p99 SLO).
-// Alert transitions print to stderr as they fire, a final per-rule report
-// prints at exit, and a CRIT overall verdict exits with code 2. With
+// (pattern violations, premature expirations, staleness lag, checkpoint
+// age, and — with -slo-p99 — the delta-latency p99 SLO). Alert transitions
+// print to stderr as they fire, a final per-rule report prints at exit, and
+// a CRIT overall verdict exits with code 2. With
 // -metrics-addr the live status is served at /debug/health (JSON, or HTML
 // with ?format=html) and retained series windows at
 // /debug/history?series=NAME. -trace-sample N additionally traces
@@ -71,7 +70,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/trace"
-	"repro/internal/tuple"
 )
 
 var queryNames = map[string]bench.Query{
@@ -106,7 +104,6 @@ func main() {
 	duration := flag.Int64("duration", 0, "trace duration in time units (default 2x window)")
 	traceFile := flag.String("trace", "", "CSV trace file (default: generate synthetically)")
 	partitions := flag.Int("partitions", 10, "state-buffer partitions")
-	shards := flag.Int("shards", 1, "run key-partitioned across this many parallel shards (falls back to 1 with a reason when the plan has no routing key)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics/pprof on this address (e.g. :9090)")
 	traceOut := flag.String("trace-out", "", "write typed engine events as JSON Lines to this file")
 	progressEvery := flag.Duration("progress", time.Second, "progress-line interval (0 disables)")
@@ -146,7 +143,7 @@ func main() {
 			single = queries[0]
 		}
 		err = run(single, *cqlText, *links, *strategy, *windowSize, *duration, *traceFile,
-			*partitions, *shards, *metricsAddr, *traceOut, *progressEvery, *explain, *analyze,
+			*partitions, *metricsAddr, *traceOut, *progressEvery, *explain, *analyze,
 			*latency, *health, *sloP99, *healthInterval, *traceSample, *checkpointDir,
 			*checkpointEvery, *maxTuples, *dumpView)
 	}
@@ -165,7 +162,7 @@ func main() {
 var errHealthCrit = errors.New("health is CRIT")
 
 func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSize, duration int64,
-	traceFile string, partitions, shards int, metricsAddr, traceOut string, progressEvery time.Duration,
+	traceFile string, partitions int, metricsAddr, traceOut string, progressEvery time.Duration,
 	explain, analyze, latency, healthOn bool, sloP99, healthInterval time.Duration, traceSample int,
 	checkpointDir string, checkpointEvery, maxTuples int, dumpView string) error {
 	healthOn = healthOn || sloP99 > 0
@@ -191,16 +188,9 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		}
 		nLinks = q.Links()
 	}
-	var strat plan.Strategy
-	switch strings.ToLower(strategyName) {
-	case "nt":
-		strat = plan.NT
-	case "direct":
-		strat = plan.Direct
-	case "upa":
-		strat = plan.UPA
-	default:
-		return fmt.Errorf("unknown strategy %q (want nt, direct, or upa)", strategyName)
+	strat, err := parseStrategy(strategyName)
+	if err != nil {
+		return err
 	}
 	if duration <= 0 {
 		duration = 2 * windowSize
@@ -209,7 +199,7 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 	if root == nil {
 		root = bench.BuildPlan(q, windowSize)
 	}
-	if err := plan.Annotate(root, bench.PlanStats(q, 0)); err != nil {
+	if err = plan.Annotate(root, bench.PlanStats(q, 0)); err != nil {
 		return err
 	}
 	fmt.Printf("plan under %v:\n%s", strat, root)
@@ -249,39 +239,16 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		cfg.Tracer = tracer
 	}
 
-	var (
-		seq *exec.Engine
-		sh  *exec.Sharded
-	)
-	if shards > 1 {
-		sh, err = exec.NewSharded(phys, cfg, shards)
-		if err != nil {
-			return err
-		}
-		defer sh.Close()
-		if reason := sh.FallbackReason(); reason != "" {
-			fmt.Fprintf(os.Stderr, "sharding fell back to sequential: %s\n", reason)
-		} else {
-			fmt.Fprintf(os.Stderr, "running key-partitioned across %d shards\n", sh.Shards())
-		}
-	} else {
-		seq, err = exec.New(phys, cfg)
-		if err != nil {
-			return err
-		}
+	eng, err := exec.New(phys, cfg)
+	if err != nil {
+		return err
 	}
 	var healthMon *obs.Health
 	if healthOn {
 		hist := obs.NewHistory(reg, obs.HistoryConfig{Interval: healthInterval})
 		hist.BeforeSample(obs.RegisterProcessMetrics(reg))
 		slo := exec.HealthSLO{DeltaP99: sloP99}
-		var rules []obs.Rule
-		if sh != nil {
-			rules = sh.HealthRules(slo)
-		} else {
-			rules = seq.HealthRules(slo)
-		}
-		healthMon = obs.NewHealth(hist, rules...)
+		healthMon = obs.NewHealth(hist, eng.HealthRules(slo)...)
 		healthMon.AddSink(obs.NewLogAlertSink(os.Stderr))
 		// Baseline tick before ingest: each series' first sample records a
 		// zero delta, so without this a run shorter than the sampling
@@ -291,18 +258,6 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		healthMon.Start()
 		defer healthMon.Stop()
 	}
-	explainTree := func(an bool) *plan.ExplainTree {
-		if sh != nil {
-			return sh.Explain(an)
-		}
-		return seq.Explain(an)
-	}
-	profiles := func() []exec.OpProfile {
-		if sh != nil {
-			return sh.Profile()
-		}
-		return seq.Profile()
-	}
 	if metricsAddr != "" {
 		// The plan page reads only atomic instruments, so serving it while
 		// the run is in flight is safe.
@@ -310,7 +265,7 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 			Path:  "/debug/plan",
 			Title: "EXPLAIN of the running plan (?analyze=1, ?format=dot)",
 			Handler: func(w http.ResponseWriter, r *http.Request) {
-				t := explainTree(r.URL.Query().Get("analyze") != "")
+				t := eng.Explain(r.URL.Query().Get("analyze") != "")
 				if r.URL.Query().Get("format") == "dot" {
 					w.Header().Set("Content-Type", "text/vnd.graphviz; charset=utf-8")
 					_ = t.WriteDOT(w)
@@ -325,7 +280,7 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 			Title: "update-pattern conformance: declared vs observed per operator",
 			Handler: func(w http.ResponseWriter, r *http.Request) {
 				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-				_ = exec.WriteConformance(w, profiles())
+				_ = exec.WriteConformance(w, eng.Profile())
 			},
 		}
 		pages := []obs.Page{planPage, confPage,
@@ -338,12 +293,6 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		fmt.Fprintf(os.Stderr, "serving metrics on http://%s/metrics (plan at /debug/plan, conformance at /debug/conformance, health at /debug/health, history at /debug/history, pprof at /debug/pprof/)\n", srv.Addr())
 	}
 
-	engStats := func() exec.Stats {
-		if sh != nil {
-			return sh.Stats()
-		}
-		return seq.Stats()
-	}
 	ckptFile := ""
 	if checkpointDir != "" {
 		if err := os.MkdirAll(checkpointDir, 0o755); err != nil {
@@ -359,11 +308,7 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		if err != nil {
 			return err
 		}
-		if sh != nil {
-			err = sh.Checkpoint(f)
-		} else {
-			err = seq.Checkpoint(f)
-		}
+		err = eng.Checkpoint(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -376,16 +321,12 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 	skip := 0
 	if ckptFile != "" {
 		if f, err := os.Open(ckptFile); err == nil {
-			if sh != nil {
-				err = sh.Restore(f)
-			} else {
-				err = seq.Restore(f)
-			}
+			err = eng.Restore(f)
 			f.Close()
 			if err != nil {
 				return fmt.Errorf("resume from %s: %w", ckptFile, err)
 			}
-			skip = int(engStats().Arrivals)
+			skip = int(eng.Stats().Arrivals)
 			fmt.Fprintf(os.Stderr, "resumed from %s at %d arrivals\n", ckptFile, skip)
 		} else if !os.IsNotExist(err) {
 			return err
@@ -432,63 +373,31 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 
 	start := time.Now()
 	prog := newProgress(start, progressEvery)
-	if sh != nil {
-		batch := make([]exec.Arrival, 0, 256)
-		flushed := skip
-		for i, r := range recs {
-			if r.Link >= nLinks {
-				return fmt.Errorf("trace record on link %d, but query reads %d links", r.Link, nLinks)
+	// Progress and periodic checkpoints land on batch boundaries.
+	batch := make([]exec.Arrival, 0, 256)
+	flushed := skip
+	for i, r := range recs {
+		if r.Link >= nLinks {
+			return fmt.Errorf("trace record on link %d, but query reads %d links", r.Link, nLinks)
+		}
+		batch = append(batch, exec.Arrival{Stream: r.Link, TS: r.TS, Vals: r.Vals})
+		if len(batch) == cap(batch) {
+			if err := eng.PushBatch(batch); err != nil {
+				return err
 			}
-			batch = append(batch, exec.Arrival{Stream: r.Link, TS: r.TS, Vals: r.Vals})
-			if len(batch) == cap(batch) {
-				if err := sh.PushBatch(batch); err != nil {
-					return err
-				}
-				batch = batch[:0]
-				prog.maybe(i+1, sh)
-				if err := periodicCheckpoint(flushed, skip+i+1); err != nil {
-					return err
-				}
-				flushed = skip + i + 1
+			batch = batch[:0]
+			prog.maybe(i+1, eng)
+			if err := periodicCheckpoint(flushed, skip+i+1); err != nil {
+				return err
 			}
+			flushed = skip + i + 1
 		}
-		if err := sh.PushBatch(batch); err != nil {
-			return err
-		}
-		if err := sh.Sync(); err != nil {
-			return err
-		}
-	} else {
-		// Sequential ingest goes through the same batched fast path as the
-		// sharded executor: whole same-(stream, timestamp) runs flow down the
-		// plan with pooled emit buffers instead of per-tuple Process calls.
-		// Progress and periodic checkpoints land on batch boundaries, the
-		// same granularity the sharded path has always used.
-		batch := make([]exec.Arrival, 0, 256)
-		flushed := skip
-		for i, r := range recs {
-			if r.Link >= nLinks {
-				return fmt.Errorf("trace record on link %d, but query reads %d links", r.Link, nLinks)
-			}
-			batch = append(batch, exec.Arrival{Stream: r.Link, TS: r.TS, Vals: r.Vals})
-			if len(batch) == cap(batch) {
-				if err := seq.PushBatch(batch); err != nil {
-					return err
-				}
-				batch = batch[:0]
-				prog.maybe(i+1, seq)
-				if err := periodicCheckpoint(flushed, skip+i+1); err != nil {
-					return err
-				}
-				flushed = skip + i + 1
-			}
-		}
-		if err := seq.PushBatch(batch); err != nil {
-			return err
-		}
-		if err := seq.Sync(); err != nil {
-			return err
-		}
+	}
+	if err := eng.PushBatch(batch); err != nil {
+		return err
+	}
+	if err := eng.Sync(); err != nil {
+		return err
 	}
 	if ckptFile != "" {
 		if err := writeCheckpoint(); err != nil {
@@ -506,24 +415,7 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		fmt.Fprintf(os.Stderr, "wrote event trace to %s\n", traceOut)
 	}
 
-	var (
-		st        exec.Stats
-		resultLen int
-		touched   int64
-	)
-	if sh != nil {
-		st = sh.Stats()
-		if resultLen, err = sh.ResultCount(); err != nil {
-			return err
-		}
-		if touched, err = sh.Touched(); err != nil {
-			return err
-		}
-	} else {
-		st = seq.Stats()
-		resultLen = seq.View().Len()
-		touched = seq.Touched()
-	}
+	st := eng.Stats()
 	if st.Arrivals == 0 {
 		fmt.Println("no tuples processed (empty trace)")
 		return nil
@@ -534,27 +426,22 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 	fmt.Printf("results emitted %d, retracted %d, window negatives %d\n",
 		st.Emitted, st.Retracted, st.WindowNegatives)
 	fmt.Printf("current result size %d, peak stored tuples %d, tuple touches %d\n",
-		resultLen, st.MaxStateTuples, touched)
+		eng.View().Len(), st.MaxStateTuples, eng.Touched())
 	if analyze {
 		fmt.Println()
-		if err := explainTree(true).WriteText(os.Stdout); err != nil {
+		if err := eng.Explain(true).WriteText(os.Stdout); err != nil {
 			return err
 		}
 	}
 	if latency {
-		var pos, neg obs.LogHistogramSnapshot
-		if sh != nil {
-			pos, neg = sh.DeltaLatency()
-		} else {
-			pos, neg = seq.DeltaLatency()
-		}
+		pos, neg := eng.DeltaLatency()
 		fmt.Println()
 		fmt.Println("delta latency (ingest to view-fold, nanoseconds):")
 		fmt.Printf("  %-10s %12s %12s %12s %12s %12s\n", "polarity", "count", "p50", "p95", "p99", "max")
 		fmt.Printf("  %-10s %12d %12d %12d %12d %12d\n", "insertion", pos.Count, pos.P50, pos.P95, pos.P99, pos.Max)
 		fmt.Printf("  %-10s %12d %12d %12d %12d %12d\n", "retraction", neg.Count, neg.P50, neg.P95, neg.P99, neg.Max)
 		fmt.Println()
-		if err := exec.WriteConformance(os.Stdout, profiles()); err != nil {
+		if err := exec.WriteConformance(os.Stdout, eng.Profile()); err != nil {
 			return err
 		}
 	}
@@ -572,14 +459,7 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		}
 	}
 	if dumpView != "" {
-		var rows []tuple.Tuple
-		if sh != nil {
-			if rows, err = sh.Snapshot(); err != nil {
-				return err
-			}
-		} else {
-			rows = seq.View().Snapshot()
-		}
+		rows := eng.View().Snapshot()
 		lines := make([]string, 0, len(rows))
 		for _, t := range rows {
 			lines = append(lines, t.String())
@@ -609,17 +489,10 @@ func newProgress(start time.Time, every time.Duration) *progress {
 	return &progress{every: every, start: start, next: start.Add(every)}
 }
 
-// liveEngine is the stats surface the progress printer reads; both the
-// sequential and sharded executors satisfy it.
-type liveEngine interface {
-	Stats() exec.Stats
-	Clock() int64
-}
-
 // maybe emits a progress line when the interval has elapsed. It checks the
 // wall clock only every 1024 tuples (or batch boundary) to keep the run
 // loop cheap.
-func (p *progress) maybe(tuples int, eng liveEngine) {
+func (p *progress) maybe(tuples int, eng *exec.Engine) {
 	if p.every <= 0 || tuples&1023 != 0 {
 		return
 	}
@@ -629,22 +502,13 @@ func (p *progress) maybe(tuples int, eng liveEngine) {
 	}
 	p.next = now.Add(p.every)
 	st := eng.Stats()
-	state := -1
-	switch e := eng.(type) {
-	case *exec.Engine:
-		state = e.StateTuples()
-	case *exec.Sharded:
-		if n, err := e.StateTuples(); err == nil {
-			state = n
-		}
-	}
 	rate := float64(tuples) / now.Sub(p.start).Seconds()
 	retrRate := 0.0
 	if st.Arrivals > 0 {
 		retrRate = float64(st.Retracted) / float64(st.Arrivals)
 	}
 	fmt.Fprintf(os.Stderr, "progress: %d tuples (%.0f tuples/s), clock=%d, state=%d, emitted=%d, retracted=%d (%.3f/arrival)\n",
-		tuples, rate, eng.Clock(), state, st.Emitted, st.Retracted, retrRate)
+		tuples, rate, eng.Clock(), eng.StateTuples(), st.Emitted, st.Retracted, retrRate)
 }
 
 // parseStrategy maps a -strategy value to the plan constant.

@@ -71,62 +71,6 @@ func TestStrategiesAgreeOnFinalAnswer(t *testing.T) {
 	}
 }
 
-// TestShardedRunMatchesSequential drives the same trace through the
-// sequential and key-partitioned paths: the output-stream totals and final
-// view must agree exactly.
-func TestShardedRunMatchesSequential(t *testing.T) {
-	for _, q := range []Query{Q1FTP, Q2Distinct, Q3Negation, Q4DistinctJoin, Q5PushDown} {
-		seq, err := Run(q, RunConfig{Strategy: plan.UPA, Window: 400})
-		if err != nil {
-			t.Fatalf("%v sequential: %v", q, err)
-		}
-		sh, err := Run(q, RunConfig{Strategy: plan.UPA, Window: 400, Shards: 3})
-		if err != nil {
-			t.Fatalf("%v sharded: %v", q, err)
-		}
-		if sh.ShardFallback != "" {
-			t.Fatalf("%v: unexpected fallback: %s", q, sh.ShardFallback)
-		}
-		if sh.Shards != 3 {
-			t.Fatalf("%v: shards = %d, want 3", q, sh.Shards)
-		}
-		// Gross emission counts can legitimately differ under strict
-		// negation: a shard whose clock only advances at its own batch
-		// boundaries never emits (then retracts) a result that is
-		// transiently true between two of its batches. The net output and
-		// the final view are what Definition 1 fixes.
-		if sh.Tuples != seq.Tuples ||
-			sh.Emitted-sh.Retracted != seq.Emitted-seq.Retracted ||
-			sh.FinalResults != seq.FinalResults {
-			t.Errorf("%v: sharded run diverged: sharded tuples=%d net=%d final=%d vs sequential tuples=%d net=%d final=%d",
-				q, sh.Tuples, sh.Emitted-sh.Retracted, sh.FinalResults,
-				seq.Tuples, seq.Emitted-seq.Retracted, seq.FinalResults)
-		}
-	}
-}
-
-func TestShardSweepExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment sweeps are not short")
-	}
-	old := shardSweepCounts
-	SetShardSweep([]int{1, 2})
-	defer SetShardSweep(old)
-	var e9 Experiment
-	for _, e := range Experiments() {
-		if e.ID == "e9" {
-			e9 = e
-		}
-	}
-	tabs, err := e9.Run(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tabs) != 1 || len(tabs[0].Rows) != 2 {
-		t.Fatalf("e9 tables = %+v", tabs)
-	}
-}
-
 func TestNTGeneratesWindowNegatives(t *testing.T) {
 	res, err := Run(Q1FTP, RunConfig{Strategy: plan.NT, Window: 500})
 	if err != nil {

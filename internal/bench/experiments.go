@@ -246,7 +246,6 @@ func Experiments() []Experiment {
 		{"e6", "E6: partition-count sweep (Section 5.3.2 trade-off)", runPartitionSweep},
 		{"e7", "E7: lazy-interval sweep (Section 6.1)", runLazySweep},
 		{"e8", "E8: cost model vs measurement", runCostRanking},
-		{"e9", "E9: shard-count sweep (key-partitioned execution)", runShardSweep},
 		{"e10", "E10: recovery — checkpoint size/latency vs trace replay", runRecovery},
 		{"e11", "E11: multi-query sharing — N Query 1 variants on one registry vs N engines", runMultiQuery},
 	}
@@ -367,54 +366,6 @@ func runRecovery(s Scale) ([]Table, error) {
 		tab.Rows = append(tab.Rows, []string{
 			v.Name, fmt.Sprint(ckpt.Len()), fmt.Sprintf("%.3f", ckptMs),
 			fmt.Sprintf("%.3f", restoreMs), fmt.Sprintf("%.3f", replayMs), fmt.Sprintf("%.1fx", ratio),
-		})
-	}
-	return []Table{tab}, nil
-}
-
-// shardSweepCounts are the shard counts experiment e9 sweeps;
-// `upabench -shards` overrides them.
-var shardSweepCounts = []int{1, 2, 4, 8}
-
-// SetShardSweep overrides the e9 shard-count sweep points.
-func SetShardSweep(counts []int) {
-	if len(counts) > 0 {
-		shardSweepCounts = counts
-	}
-}
-
-func runShardSweep(s Scale) ([]Table, error) {
-	w := int64(20000)
-	if s == Quick {
-		w = 5000
-	}
-	tab := Table{
-		ID:      "e9",
-		Title:   fmt.Sprintf("Shard sweep, Query 1 (ftp), window %d — UPA, batched ingest", w),
-		Columns: []string{"shards", "ms/1k tuples", "tuples/s", "speedup", "allocs/op", "B/op", "peak state"},
-		Notes: "Arrivals are routed by the join key's hash across independent engine shards " +
-			"(DESIGN.md \"Sharded execution\") and fed in batches of 256. Speedup is relative " +
-			"to the 1-shard row and needs as many idle cores as shards to materialize; on " +
-			"fewer cores the parallel rows mostly measure coordination overhead.",
-	}
-	base := 0.0
-	for _, shards := range shardSweepCounts {
-		res, err := Run(Q1FTP, RunConfig{Strategy: plan.UPA, Window: w, Shards: shards})
-		if err != nil {
-			return nil, err
-		}
-		if res.ShardFallback != "" {
-			return nil, fmt.Errorf("e9: Q1 unexpectedly not partitionable: %s", res.ShardFallback)
-		}
-		perSec := float64(res.Tuples) / res.Elapsed.Seconds()
-		if base == 0 {
-			base = res.MsPerK // speedup is relative to the first sweep point
-		}
-		tab.Rows = append(tab.Rows, []string{
-			fmt.Sprint(shards), fmt.Sprintf("%.3f", res.MsPerK), fmt.Sprintf("%.0f", perSec),
-			fmt.Sprintf("%.2fx", base/res.MsPerK),
-			fmt.Sprintf("%.2f", res.AllocsPerOp()), fmt.Sprintf("%.0f", res.BytesPerOp()),
-			fmt.Sprint(res.MaxState),
 		})
 	}
 	return []Table{tab}, nil

@@ -13,8 +13,7 @@ type Report struct {
 	// Scale is "quick" or "full".
 	Scale string `json:"scale"`
 	// GoVersion, GOOS/GOARCH, and NumCPU describe the machine the numbers
-	// came from — wall-clock results are only comparable within one host,
-	// and parallel speedups (experiment e9) require NumCPU >= shards.
+	// came from — wall-clock results are only comparable within one host.
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
@@ -28,9 +27,8 @@ type Report struct {
 // ExperimentReport is one experiment's rendered tables. The host facts
 // (GOOS/GOARCH/NumCPU) are stamped per experiment, not only at the report
 // top level, because a result file's experiments may be merged from runs on
-// different hosts: core-count caveats are experiment-specific (e9's parallel
-// speedups are meaningless when NumCPU < shards), and cross-platform merges
-// need each experiment to say which platform produced it.
+// different hosts, and cross-platform merges need each experiment to say
+// which platform produced it.
 type ExperimentReport struct {
 	ID     string  `json:"id"`
 	Title  string  `json:"title"`

@@ -57,8 +57,8 @@ func DrainAlertLog() []string {
 }
 
 func logAlert(q Query, rc RunConfig, t obs.Transition) {
-	line := fmt.Sprintf("%v/%v w=%d shards=%d: %s %s -> %s (value %.6g)",
-		q, rc.Strategy, rc.Window, rc.Shards, t.Rule, t.From, t.To, t.Value)
+	line := fmt.Sprintf("%v/%v w=%d: %s %s -> %s (value %.6g)",
+		q, rc.Strategy, rc.Window, t.Rule, t.From, t.To, t.Value)
 	alertLogMu.Lock()
 	alertLog = append(alertLog, line)
 	alertLogMu.Unlock()
@@ -124,15 +124,10 @@ type RunConfig struct {
 	Metrics *obs.Registry
 	// Tracer, when set, receives the run's typed engine events.
 	Tracer *obs.Tracer
-	// Shards > 1 runs the query key-partitioned across that many parallel
-	// shards with batched ingest (DESIGN.md "Sharded execution"), falling
-	// back to one shard when the plan admits no routing key.
-	Shards int
-	// Batch > 0 feeds a sequential run through PushBatch in chunks of that
-	// many arrivals instead of per-tuple Push. Batched ingest is what lets
-	// the engine coalesce same-timestamp runs; per-tuple Push (the default)
-	// measures the paper's arrival-at-a-time regime. Ignored when Shards > 1
-	// (sharded ingest is always batched).
+	// Batch > 0 feeds the run through PushBatch in chunks of that many
+	// arrivals instead of per-tuple Push. Batched ingest is what lets the
+	// engine coalesce same-timestamp runs; per-tuple Push (the default)
+	// measures the paper's arrival-at-a-time regime.
 	Batch int
 	// Health monitors the run with the engine's built-in health rules
 	// (manual ticks every healthTickEvery tuples) and records alert
@@ -140,11 +135,6 @@ type RunConfig struct {
 	// turns it on for every run.
 	Health bool
 }
-
-// shardFeedBatch is how many arrivals a sharded run hands to PushBatch at
-// a time — large enough to amortize the per-batch routing and flush costs,
-// small enough to keep shard queues busy.
-const shardFeedBatch = 256
 
 func (rc RunConfig) withDefaults() RunConfig {
 	if rc.Duration <= 0 {
@@ -190,14 +180,8 @@ type Result struct {
 	Emitted, Retracted, WindowNegatives int64
 	// FinalResults is the view size at the end of the run.
 	FinalResults int
-	// Shards is how many parallel shards executed the run (1 when
-	// sequential); ShardFallback carries the planner's reason when a
-	// sharded run degraded to one shard.
-	Shards        int
-	ShardFallback string
 	// Allocs/AllocBytes are process-wide heap allocation deltas across the
-	// timed region (runtime.ReadMemStats before and after, so sharded
-	// workers are covered too). They track the allocation trajectory of the
+	// timed region (runtime.ReadMemStats before and after). They track the allocation trajectory of the
 	// ingest path alongside wall-clock time in the experiment tables.
 	Allocs     uint64
 	AllocBytes uint64
@@ -205,9 +189,9 @@ type Result struct {
 	// gauges, and per-operator series) — the registry-backed view of the
 	// same measures, embedded in experiment report tables.
 	Metrics obs.Snapshot
-	// Ops is the run's per-operator profile in plan pre-order (root = 0),
-	// summed across shards for a sharded run — the EXPLAIN ANALYZE view of
-	// the same execution, embedded in experiment report tables.
+	// Ops is the run's per-operator profile in plan pre-order (root = 0) —
+	// the EXPLAIN ANALYZE view of the same execution, embedded in experiment
+	// report tables.
 	Ops []exec.OpProfile
 	// LatencyPos/LatencyNeg are the run's ingest→emit delta-latency
 	// distributions (emitted insertions / retractions), recorded only when
@@ -276,10 +260,6 @@ func Run(q Query, rc RunConfig) (Result, error) {
 		SrcSkew:         skew,
 		DisjointSources: q.DisjointSources(),
 	})
-
-	if rc.Shards > 1 {
-		return runSharded(q, rc, phys, cfg, gen)
-	}
 
 	eng, err := exec.New(phys, cfg)
 	if err != nil {
@@ -357,94 +337,9 @@ func Run(q Query, rc RunConfig) (Result, error) {
 		AllocBytes:      m1.TotalAlloc - m0.TotalAlloc,
 		Metrics:         eng.Metrics().Snapshot(),
 		Ops:             eng.Profile(),
-		Shards:          1,
 		LatencyPos:      latPos,
 		LatencyNeg:      latNeg,
 		Violations:      eng.Violations(),
-	}
-	rh.finish(&res)
-	return res, nil
-}
-
-// runSharded measures a key-partitioned run: arrivals are handed to the
-// sharded executor in PushBatch chunks so shard queues stay full, and the
-// timed region covers ingest through the final cross-shard Sync.
-func runSharded(q Query, rc RunConfig, phys *plan.Physical, cfg exec.Config, gen *trace.Generator) (Result, error) {
-	sh, err := exec.NewSharded(phys, cfg, rc.Shards)
-	if err != nil {
-		return Result{}, fmt.Errorf("bench %v: %w", q, err)
-	}
-	defer sh.Close()
-
-	var rh *runHealth
-	if rc.Health {
-		rh = newRunHealth(q, rc, sh.HealthRules(exec.HealthSLO{}))
-	}
-	var m0 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	var n int64
-	batch := make([]exec.Arrival, 0, shardFeedBatch)
-	for {
-		rec, ok := gen.Next()
-		if !ok {
-			break
-		}
-		batch = append(batch, exec.Arrival{Stream: rec.Link, TS: rec.TS, Vals: rec.Vals})
-		if len(batch) == shardFeedBatch {
-			if err := sh.PushBatch(batch); err != nil {
-				return Result{}, fmt.Errorf("bench %v: push: %w", q, err)
-			}
-			batch = batch[:0]
-			n += shardFeedBatch
-			if rh != nil && n%healthTickEvery == 0 {
-				rh.mon.Tick()
-			}
-		}
-	}
-	if err := sh.PushBatch(batch); err != nil {
-		return Result{}, fmt.Errorf("bench %v: push: %w", q, err)
-	}
-	n += int64(len(batch))
-	if err := sh.Sync(); err != nil {
-		return Result{}, fmt.Errorf("bench %v: sync: %w", q, err)
-	}
-	elapsed := time.Since(start)
-	var m1 runtime.MemStats
-	runtime.ReadMemStats(&m1)
-
-	touched, err := sh.Touched()
-	if err != nil {
-		return Result{}, fmt.Errorf("bench %v: %w", q, err)
-	}
-	finalResults, err := sh.ResultCount()
-	if err != nil {
-		return Result{}, fmt.Errorf("bench %v: %w", q, err)
-	}
-	st := sh.Stats()
-	latPos, latNeg := sh.DeltaLatency()
-	res := Result{
-		Query:           q,
-		Strategy:        rc.Strategy,
-		Window:          rc.Window,
-		Tuples:          n,
-		Elapsed:         elapsed,
-		MsPerK:          float64(elapsed.Nanoseconds()) / 1e6 / float64(n) * 1000,
-		Touched:         touched,
-		MaxState:        st.MaxStateTuples,
-		Emitted:         st.Emitted,
-		Retracted:       st.Retracted,
-		WindowNegatives: st.WindowNegatives,
-		FinalResults:    finalResults,
-		Allocs:          m1.Mallocs - m0.Mallocs,
-		AllocBytes:      m1.TotalAlloc - m0.TotalAlloc,
-		Metrics:         sh.Metrics().Snapshot(),
-		Ops:             sh.Profile(),
-		Shards:          sh.Shards(),
-		ShardFallback:   sh.FallbackReason(),
-		LatencyPos:      latPos,
-		LatencyNeg:      latNeg,
-		Violations:      sh.Violations(),
 	}
 	rh.finish(&res)
 	return res, nil

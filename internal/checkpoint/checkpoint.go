@@ -59,8 +59,9 @@ var ErrCorrupt = errors.New("checkpoint: corrupt or truncated data")
 var ErrVersion = errors.New("checkpoint: unsupported format version")
 
 // MismatchError reports a checkpoint that is structurally valid but was
-// taken from an incompatible engine: a different query plan, strategy,
-// schema, or shard layout. Restore fails with it before mutating any state.
+// taken from an incompatible engine: a different query plan, strategy, or
+// schema, or a shard count other than 1. Restore fails with it before
+// mutating any state.
 type MismatchError struct {
 	Field string // what differed: "plan", "shards", "table", ...
 	Want  string // what the restoring engine expects

@@ -288,6 +288,9 @@ func (p *parser) fromExpr() (*plan.Node, *tuple.Schema, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	if node == nil {
+		return nil, nil, p.errf("FROM must start with a stream, not a table")
+	}
 	for {
 		switch {
 		case p.keyword("JOIN"):

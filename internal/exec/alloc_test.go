@@ -47,7 +47,7 @@ func TestBatchIngestAllocBudget(t *testing.T) {
 	}
 	t.Run("q1", func(t *testing.T) {
 		q := ckptQueries()[0] // Q1-join-of-selects
-		eng := buildExecutor(t, q, plan.UPA, 1).(*Engine)
+		eng := buildExecutor(t, q, plan.UPA)
 
 		// A reusable 64-arrival batch: 8 ticks × 2 streams × 4-tuple bursts.
 		// Vals are generated once; only timestamps advance between runs.
@@ -116,7 +116,7 @@ func TestBatchIngestAllocBudgetInstrumented(t *testing.T) {
 		t.Skip("allocation budgets are meaningless under -race")
 	}
 	q := ckptQueries()[0] // Q1-join-of-selects
-	eng := buildInstrumented(t, q, plan.UPA, 1).(*Engine)
+	eng := buildInstrumented(t, q, plan.UPA)
 
 	r := rand.New(rand.NewSource(17))
 	batch := make([]Arrival, 0, 64)

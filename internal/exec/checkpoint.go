@@ -19,22 +19,25 @@ import (
 //
 //	magic+version (checkpoint.Encoder.Begin)
 //	plan fingerprint (string)
-//	shard count (uvarint)
-//	coordinator clock (varint)
+//	shard count (uvarint, always 1)
+//	engine clock (varint)
 //	table section: count, then per unique table its name and contents
-//	per shard, in shard order: one engine state section
+//	one engine state section
 //
 // The fingerprint pins everything a checkpoint is NOT allowed to carry
 // across: execution strategy, update-pattern class, view structure, output
 // schema, and the full operator tree (ids and parameterized names). Restore
 // validates the fingerprint and the shard count before touching any state,
-// so a mismatched restore leaves the engine exactly as it was.
+// so a mismatched restore leaves the engine exactly as it was. The shard
+// count is a relic of a removed key-partitioned executor: checkpoints that
+// executor wrote with more than one shard are rejected with a
+// *checkpoint.MismatchError on Field "shards".
 //
 // Configuration never travels in a checkpoint: windows, state-buffer
 // choices, and operator wiring are rebuilt from the plan, and only dynamic
 // state (clocks, cursors, counters, stored tuples) is serialized. A
 // checkpoint therefore restores only into an engine built from the same
-// query, strategy, options, and shard layout.
+// query, strategy, and options.
 
 // fingerprint renders the plan identity a checkpoint must match: strategy,
 // root pattern, view structure, output schema, and the pre-order operator
@@ -52,9 +55,8 @@ func fingerprint(p *plan.Physical) string {
 }
 
 // uniqueTables lists the distinct tables the plan consumes, deduplicated by
-// pointer, in plan registration order. Sharded engines share table pointers
-// (shards rebuild the plan from the same logical tree), so table contents are
-// written once per checkpoint regardless of shard count.
+// pointer, in plan registration order, so a table two operators consume is
+// written once per checkpoint.
 func uniqueTables(p *plan.Physical) []*relation.Table {
 	seen := make(map[*relation.Table]bool)
 	var out []*relation.Table
@@ -304,7 +306,7 @@ func (e *Engine) Restore(r io.Reader) error {
 	if shards != 1 {
 		return &checkpoint.MismatchError{Field: "shards", Want: "1", Got: strconv.Itoa(shards)}
 	}
-	dec.Varint() // coordinator clock; the engine's own clock travels in its state section
+	dec.Varint() // engine clock; the state section carries it too
 	if err := dec.Err(); err != nil {
 		return err
 	}
@@ -317,109 +319,6 @@ func (e *Engine) Restore(r io.Reader) error {
 	e.met.restores.Inc()
 	if e.timed {
 		e.met.restoreNanos.Observe(time.Since(start).Nanoseconds())
-	}
-	return nil
-}
-
-// Checkpoint drains all workers behind a batch barrier, then writes the
-// coordinator clock, the shared tables once, and one state section per
-// shard. A sequential executor writes a single-shard checkpoint that a plain
-// Engine built from the same plan can restore, and vice versa.
-func (s *Sharded) Checkpoint(w io.Writer) error {
-	if s.done {
-		return ErrClosed
-	}
-	if !s.sequential() {
-		if err := s.barrier(); err != nil {
-			return err
-		}
-	}
-	timed := s.shards[0].timed
-	var start time.Time
-	if timed {
-		start = time.Now()
-	}
-	enc := checkpoint.NewEncoder(w)
-	enc.Begin()
-	enc.String(fingerprint(s.phys))
-	enc.Uvarint(uint64(len(s.shards)))
-	clock := s.clock
-	if s.sequential() {
-		clock = s.shards[0].clock
-	}
-	enc.Varint(clock)
-	if err := writeTables(enc, s.phys); err != nil {
-		return err
-	}
-	for _, eng := range s.shards {
-		if err := eng.writeState(enc); err != nil {
-			return err
-		}
-	}
-	if err := enc.Err(); err != nil {
-		return err
-	}
-	met := &s.shards[0].met
-	met.checkpoints.Inc()
-	met.checkpointBytes.Set(enc.Bytes())
-	met.checkpointLast.Set(obs.Nanotime())
-	if timed {
-		met.checkpointNanos.Observe(time.Since(start).Nanoseconds())
-	}
-	return nil
-}
-
-// Restore rehydrates every shard from a checkpoint written by an executor
-// with the same plan AND the same shard layout: a 4-shard checkpoint
-// restores only into a 4-shard executor. The fingerprint and shard count are
-// validated before any state is touched; a mismatch returns
-// *checkpoint.MismatchError and leaves all shards unchanged.
-func (s *Sharded) Restore(r io.Reader) error {
-	if s.done {
-		return ErrClosed
-	}
-	if !s.sequential() {
-		if err := s.barrier(); err != nil {
-			return err
-		}
-	}
-	timed := s.shards[0].timed
-	var start time.Time
-	if timed {
-		start = time.Now()
-	}
-	dec := checkpoint.NewDecoder(r)
-	dec.Begin()
-	fp := dec.String()
-	shards := dec.Count()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if want := fingerprint(s.phys); fp != want {
-		return &checkpoint.MismatchError{Field: "plan", Want: want, Got: fp}
-	}
-	if shards != len(s.shards) {
-		return &checkpoint.MismatchError{
-			Field: "shards", Want: strconv.Itoa(len(s.shards)), Got: strconv.Itoa(shards),
-		}
-	}
-	clock := dec.Varint()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if err := readTables(dec, s.phys); err != nil {
-		return err
-	}
-	for _, eng := range s.shards {
-		if err := eng.readState(dec); err != nil {
-			return err
-		}
-	}
-	s.clock = clock
-	met := &s.shards[0].met
-	met.restores.Inc()
-	if timed {
-		met.restoreNanos.Observe(time.Since(start).Nanoseconds())
 	}
 	return nil
 }

@@ -4,16 +4,15 @@ package exec
 // checkpointed mid-trace and restored into a fresh executor must be
 // indistinguishable — identical view snapshot, result count, cumulative
 // stats, clock, and watermark — from the same run left uninterrupted, across
-// the paper's query shapes, all three execution strategies, and both the
-// sequential and the sharded executor. Mismatched restores (different query,
-// strategy, or shard layout) must fail with a typed error before touching any
-// state.
+// the paper's query shapes and all three execution strategies. Mismatched
+// restores (different query, strategy, or shard count) must fail with a
+// typed error before touching any state; that includes every checkpoint the
+// removed key-partitioned executor wrote on more than one shard.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 	"testing"
@@ -24,21 +23,6 @@ import (
 	"repro/internal/tuple"
 	"repro/internal/window"
 )
-
-// executor is the surface shared by Engine and Sharded that the equivalence
-// tests exercise.
-type executor interface {
-	Push(streamID int, ts int64, vals ...tuple.Value) error
-	Advance(ts int64) error
-	Sync() error
-	Snapshot() ([]tuple.Tuple, error)
-	ResultCount() (int, error)
-	Stats() Stats
-	Clock() int64
-	Watermark() int64
-	Checkpoint(w io.Writer) error
-	Restore(r io.Reader) error
-}
 
 // ckptQuery is one paper query shape: a fresh logical plan per call (Annotate
 // mutates the tree) plus the number of base streams it consumes.
@@ -82,9 +66,8 @@ func ckptQueries() []ckptQuery {
 	}
 }
 
-// buildExecutor compiles q fresh and returns a 1-shard Engine or an n-shard
-// Sharded executor.
-func buildExecutor(t *testing.T, q ckptQuery, strat plan.Strategy, shards int) executor {
+// buildExecutor compiles q fresh into a single-query Engine.
+func buildExecutor(t *testing.T, q ckptQuery, strat plan.Strategy) *Engine {
 	t.Helper()
 	root := q.build()
 	if err := plan.Annotate(root, plan.DefaultStats()); err != nil {
@@ -94,20 +77,11 @@ func buildExecutor(t *testing.T, q ckptQuery, strat plan.Strategy, shards int) e
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	cfg := Config{LazyInterval: 7, EagerInterval: 1}
-	if shards == 1 {
-		eng, err := New(phys, cfg)
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		return eng
-	}
-	sh, err := NewSharded(phys, cfg, shards)
+	eng, err := New(phys, Config{LazyInterval: 7, EagerInterval: 1})
 	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
+		t.Fatalf("New: %v", err)
 	}
-	t.Cleanup(func() { sh.Close() })
-	return sh
+	return eng
 }
 
 // ckptTrace is a deterministic arrival sequence: 192 tuples round-robined
@@ -122,7 +96,7 @@ func ckptTrace(streams int) []Arrival {
 	return out
 }
 
-func feed(t *testing.T, ex executor, trace []Arrival) {
+func feed(t *testing.T, ex *Engine, trace []Arrival) {
 	t.Helper()
 	for _, a := range trace {
 		if err := ex.Push(a.Stream, a.TS, a.Vals...); err != nil {
@@ -141,7 +115,7 @@ type observation struct {
 	watermark int64
 }
 
-func observe(t *testing.T, ex executor) observation {
+func observe(t *testing.T, ex *Engine) observation {
 	t.Helper()
 	if err := ex.Advance(400); err != nil {
 		t.Fatalf("Advance: %v", err)
@@ -187,128 +161,91 @@ func diffObservations(t *testing.T, name string, got, want observation) {
 // A uninterrupted, B checkpointed mid-trace and continued, C restored from
 // B's checkpoint into a fresh executor and fed the rest. All three must agree
 // on every visible signal, and B must be unperturbed by having checkpointed.
+//
+// The shards=4 leg offers C the checkpoint a four-shard key-partitioned
+// executor wrote at the same cut instead. C must refuse it, and finish the
+// trace indistinguishable from A.
 func TestCheckpointRestoreEquivalence(t *testing.T) {
 	for _, q := range ckptQueries() {
 		for _, strat := range []plan.Strategy{plan.NT, plan.Direct, plan.UPA} {
-			for _, shards := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/%v/shards=%d", q.name, strat, shards), func(t *testing.T) {
-					trace := ckptTrace(q.streams)
-					half := 128
+			t.Run(fmt.Sprintf("%s/%v/shards=4", q.name, strat), func(t *testing.T) {
+				trace := ckptTrace(q.streams)
+				half := 128
 
-					a := buildExecutor(t, q, strat, shards)
-					feed(t, a, trace)
-					wantObs := observe(t, a)
+				// A reads its view at the cut as the refused restore does:
+				// a snapshot purges lazily expired state, which moves the
+				// sampled state peak.
+				a := buildExecutor(t, q, strat)
+				feed(t, a, trace[:half])
+				observeNoAdvance(t, a)
+				feed(t, a, trace[half:])
+				wantObs := observe(t, a)
 
-					b := buildExecutor(t, q, strat, shards)
-					feed(t, b, trace[:half])
-					var ckpt bytes.Buffer
-					if err := b.Checkpoint(&ckpt); err != nil {
-						t.Fatalf("Checkpoint: %v", err)
-					}
-					feed(t, b, trace[half:])
-					bObs := observe(t, b)
+				c := buildExecutor(t, q, strat)
+				feed(t, c, trace[:half])
+				rejectShardedCheckpoint(t, c, readFixture(t, shardedFixture("restore-equivalence", q, strat), 3), 4)
+				feed(t, c, trace[half:])
+				diffObservations(t, "C (refused 4-shard restore) vs A", observe(t, c), wantObs)
+			})
+			t.Run(fmt.Sprintf("%s/%v/shards=1", q.name, strat), func(t *testing.T) {
+				trace := ckptTrace(q.streams)
+				half := 128
 
-					c := buildExecutor(t, q, strat, shards)
-					if err := c.Restore(bytes.NewReader(ckpt.Bytes())); err != nil {
-						t.Fatalf("Restore: %v", err)
-					}
-					feed(t, c, trace[half:])
-					cObs := observe(t, c)
+				a := buildExecutor(t, q, strat)
+				feed(t, a, trace)
+				wantObs := observe(t, a)
 
-					want, bCmp := wantObs, bObs
-					if shards > 1 {
-						// Sharded ingest samples the state-size gauge at
-						// batch granularity, and the checkpoint barrier
-						// changes batch boundaries, so the sampled peak may
-						// differ from the uninterrupted run. Everything else
-						// is exact — and B vs C below compares the peak too.
-						want.stats.MaxStateTuples = 0
-						bCmp.stats.MaxStateTuples = 0
-					}
-					diffObservations(t, "B (checkpointed, continued)", bCmp, want)
-					diffObservations(t, "C (restored) vs B", cObs, bObs)
-				})
-			}
+				b := buildExecutor(t, q, strat)
+				feed(t, b, trace[:half])
+				var ckpt bytes.Buffer
+				if err := b.Checkpoint(&ckpt); err != nil {
+					t.Fatalf("Checkpoint: %v", err)
+				}
+				feed(t, b, trace[half:])
+				bObs := observe(t, b)
+
+				c := buildExecutor(t, q, strat)
+				if err := c.Restore(bytes.NewReader(ckpt.Bytes())); err != nil {
+					t.Fatalf("Restore: %v", err)
+				}
+				feed(t, c, trace[half:])
+				cObs := observe(t, c)
+
+				diffObservations(t, "B (checkpointed, continued)", bObs, wantObs)
+				diffObservations(t, "C (restored) vs B", cObs, bObs)
+			})
 		}
 	}
 }
 
-// TestCheckpointEngineShardedCompat checks the cross-compatibility promise: a
-// plain Engine and a 1-shard Sharded executor over the same plan produce
-// interchangeable checkpoints.
+// TestCheckpointEngineShardedCompat checks the wire compatibility that keeps
+// the shard-count field in the format: a checkpoint the removed
+// key-partitioned executor wrote on one shard restores into an Engine, and
+// the run continues exactly as an uninterrupted Engine's.
 func TestCheckpointEngineShardedCompat(t *testing.T) {
 	q := ckptQueries()[0]
 	trace := ckptTrace(q.streams)
 
-	eng := buildExecutor(t, q, plan.UPA, 1)
-	feed(t, eng, trace[:128])
-	var ckpt bytes.Buffer
-	if err := eng.Checkpoint(&ckpt); err != nil {
-		t.Fatalf("Engine.Checkpoint: %v", err)
+	straight := buildExecutor(t, q, plan.UPA)
+	feed(t, straight, trace)
+	want := observe(t, straight)
+
+	eng := buildExecutor(t, q, plan.UPA)
+	if err := eng.Restore(bytes.NewReader(readFixture(t, "checkpoint_v3_q1_1shard.bin", 3))); err != nil {
+		t.Fatalf("Restore of one-shard checkpoint: %v", err)
 	}
 	feed(t, eng, trace[128:])
-	wantObs := observe(t, eng)
-
-	root := q.build()
-	if err := plan.Annotate(root, plan.DefaultStats()); err != nil {
-		t.Fatal(err)
-	}
-	phys, err := plan.Build(root, plan.UPA, plan.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := NewSharded(phys, Config{LazyInterval: 7, EagerInterval: 1}, 1)
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
-	t.Cleanup(func() { sh.Close() })
-	if err := sh.Restore(bytes.NewReader(ckpt.Bytes())); err != nil {
-		t.Fatalf("Sharded.Restore of Engine checkpoint: %v", err)
-	}
-	feed(t, sh, trace[128:])
-	diffObservations(t, "Sharded(1) restored from Engine", observe(t, sh), wantObs)
-
-	// And the reverse: a sequential Sharded checkpoint restores into Engine.
-	sh2 := buildExecutor(t, q, plan.UPA, 1)
-	sh2 = sh2.(*Engine) // sanity: shards==1 path builds a plain Engine
-	var ckpt2 bytes.Buffer
-	shSeq, err := NewSharded(phys2(t, q), Config{LazyInterval: 7, EagerInterval: 1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { shSeq.Close() })
-	feed(t, shSeq, trace[:128])
-	if err := shSeq.Checkpoint(&ckpt2); err != nil {
-		t.Fatalf("Sharded.Checkpoint: %v", err)
-	}
-	if err := sh2.Restore(bytes.NewReader(ckpt2.Bytes())); err != nil {
-		t.Fatalf("Engine.Restore of sequential Sharded checkpoint: %v", err)
-	}
-	feed(t, sh2, trace[128:])
-	diffObservations(t, "Engine restored from Sharded(1)", observe(t, sh2), wantObs)
+	diffObservations(t, "Engine restored from one-shard checkpoint", observe(t, eng), want)
 }
 
-func phys2(t *testing.T, q ckptQuery) *plan.Physical {
-	t.Helper()
-	root := q.build()
-	if err := plan.Annotate(root, plan.DefaultStats()); err != nil {
-		t.Fatal(err)
-	}
-	phys, err := plan.Build(root, plan.UPA, plan.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return phys
-}
-
-// TestRestoreMismatchSafety checks that restoring into an executor built from
-// a different query, strategy, or shard layout fails with
-// *checkpoint.MismatchError before mutating any state.
+// TestRestoreMismatchSafety checks that restoring a checkpoint of a different
+// query, strategy, or shard count fails with *checkpoint.MismatchError before
+// mutating any state.
 func TestRestoreMismatchSafety(t *testing.T) {
 	qs := ckptQueries()
 	trace := ckptTrace(qs[0].streams)
 
-	src := buildExecutor(t, qs[0], plan.UPA, 1)
+	src := buildExecutor(t, qs[0], plan.UPA)
 	feed(t, src, trace[:64])
 	var ckpt bytes.Buffer
 	if err := src.Checkpoint(&ckpt); err != nil {
@@ -317,18 +254,21 @@ func TestRestoreMismatchSafety(t *testing.T) {
 
 	cases := []struct {
 		name  string
-		build func(t *testing.T) executor
+		build func(t *testing.T) *Engine
+		ckpt  []byte
 		field string
 	}{
-		{"different query", func(t *testing.T) executor {
-			return buildExecutor(t, qs[1], plan.UPA, 1)
-		}, "plan"},
-		{"different strategy", func(t *testing.T) executor {
-			return buildExecutor(t, qs[0], plan.NT, 1)
-		}, "plan"},
-		{"sharded layout", func(t *testing.T) executor {
-			return buildExecutor(t, qs[0], plan.UPA, 4)
-		}, "shards"},
+		{"different query", func(t *testing.T) *Engine {
+			return buildExecutor(t, qs[1], plan.UPA)
+		}, ckpt.Bytes(), "plan"},
+		{"different strategy", func(t *testing.T) *Engine {
+			return buildExecutor(t, qs[0], plan.NT)
+		}, ckpt.Bytes(), "plan"},
+		// Same query and strategy, written by the removed key-partitioned
+		// executor on four shards.
+		{"sharded layout", func(t *testing.T) *Engine {
+			return buildExecutor(t, qs[0], plan.UPA)
+		}, readFixture(t, shardedFixture("restore-equivalence", qs[0], plan.UPA), 3), "shards"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -341,7 +281,7 @@ func TestRestoreMismatchSafety(t *testing.T) {
 			feed(t, ex, pre)
 			before := observeNoAdvance(t, ex)
 
-			err := ex.Restore(bytes.NewReader(ckpt.Bytes()))
+			err := ex.Restore(bytes.NewReader(tc.ckpt))
 			var mm *checkpoint.MismatchError
 			if !errors.As(err, &mm) {
 				t.Fatalf("Restore error = %v, want *checkpoint.MismatchError", err)
@@ -357,16 +297,11 @@ func TestRestoreMismatchSafety(t *testing.T) {
 		})
 	}
 
-	// A 4-shard checkpoint must also refuse a 1-shard executor.
+	// A 4-shard checkpoint, as the removed sharded executor wrote them,
+	// must refuse to restore.
 	t.Run("4-shard checkpoint into engine", func(t *testing.T) {
-		sh := buildExecutor(t, qs[0], plan.UPA, 4)
-		feed(t, sh, trace[:64])
-		var ck4 bytes.Buffer
-		if err := sh.Checkpoint(&ck4); err != nil {
-			t.Fatal(err)
-		}
-		eng := buildExecutor(t, qs[0], plan.UPA, 1)
-		err := eng.Restore(bytes.NewReader(ck4.Bytes()))
+		eng := buildExecutor(t, qs[0], plan.UPA)
+		err := eng.Restore(bytes.NewReader(readFixture(t, "checkpoint_v3_q1_4shards.bin", 3)))
 		var mm *checkpoint.MismatchError
 		if !errors.As(err, &mm) || mm.Field != "shards" {
 			t.Fatalf("Restore error = %v, want shards MismatchError", err)
@@ -376,7 +311,7 @@ func TestRestoreMismatchSafety(t *testing.T) {
 	// Corrupt input must surface checkpoint.ErrCorrupt, again without
 	// mutating the target.
 	t.Run("corrupt stream", func(t *testing.T) {
-		ex := buildExecutor(t, qs[0], plan.UPA, 1)
+		ex := buildExecutor(t, qs[0], plan.UPA)
 		feed(t, ex, trace[:16])
 		before := observeNoAdvance(t, ex)
 		err := ex.Restore(bytes.NewReader(ckpt.Bytes()[:len(ckpt.Bytes())/3]))
@@ -392,7 +327,7 @@ func TestRestoreMismatchSafety(t *testing.T) {
 
 // observeNoAdvance renders visible state without advancing time (mismatch
 // tests must not disturb the executor between the before/after readings).
-func observeNoAdvance(t *testing.T, ex executor) observation {
+func observeNoAdvance(t *testing.T, ex *Engine) observation {
 	t.Helper()
 	snap, err := ex.Snapshot()
 	if err != nil {
@@ -413,7 +348,7 @@ func observeNoAdvance(t *testing.T, ex executor) observation {
 // TestCheckpointMetrics checks the upa_checkpoint_* series move.
 func TestCheckpointMetrics(t *testing.T) {
 	q := ckptQueries()[0]
-	eng := buildExecutor(t, q, plan.UPA, 1).(*Engine)
+	eng := buildExecutor(t, q, plan.UPA)
 	feed(t, eng, ckptTrace(q.streams)[:32])
 	var ckpt bytes.Buffer
 	if err := eng.Checkpoint(&ckpt); err != nil {
@@ -425,7 +360,7 @@ func TestCheckpointMetrics(t *testing.T) {
 	if got := eng.met.checkpointBytes.Value(); got != int64(ckpt.Len()) {
 		t.Fatalf("%s = %d, want %d", MetricCheckpointBytes, got, ckpt.Len())
 	}
-	fresh := buildExecutor(t, q, plan.UPA, 1).(*Engine)
+	fresh := buildExecutor(t, q, plan.UPA)
 	if err := fresh.Restore(bytes.NewReader(ckpt.Bytes())); err != nil {
 		t.Fatal(err)
 	}

@@ -42,18 +42,7 @@ func (e *Engine) explainQuery(q *queryUnit, analyze bool) *plan.ExplainTree {
 		}
 	})
 	if analyze {
-		attachStats(t, e.profileQuery(q), 1, e.Clock(), e.Watermark())
-	}
-	return t
-}
-
-// Explain returns the renderable plan tree for the coordinator's plan. With
-// analyze set, operator counters are the sums over all shards (batch
-// latencies take the max) and the watermark is the oldest shard watermark.
-func (s *Sharded) Explain(analyze bool) *plan.ExplainTree {
-	t := plan.Explain(s.phys)
-	if analyze {
-		attachStats(t, s.Profile(), len(s.shards), s.Clock(), s.Watermark())
+		attachStats(t, e.profileQuery(q), e.Clock(), e.Watermark())
 	}
 	return t
 }
@@ -61,9 +50,8 @@ func (s *Sharded) Explain(analyze bool) *plan.ExplainTree {
 // attachStats marks the tree analyzed and pins each operator's profile row
 // to its node. Both sides number operators by pre-order position, so
 // ExplainNode.ID indexes straight into profs.
-func attachStats(t *plan.ExplainTree, profs []OpProfile, shards int, clock, watermark int64) {
+func attachStats(t *plan.ExplainTree, profs []OpProfile, clock, watermark int64) {
 	t.Analyzed = true
-	t.Shards = shards
 	t.Clock = clock
 	t.Watermark = watermark
 	t.Walk(func(n *plan.ExplainNode) {

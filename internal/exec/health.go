@@ -36,8 +36,6 @@ const (
 const (
 	RulePatternViolations    = "pattern-violations"
 	RulePrematureExpirations = "premature-expirations"
-	RuleShardQueueDepth      = "shard-queue-depth"
-	RuleShardBlocked         = "shard-blocked"
 	RuleDeltaP99             = "delta-p99"
 	RuleStalenessLag         = "staleness-lag"
 	RuleCheckpointAge        = "checkpoint-age"
@@ -100,30 +98,6 @@ func BuiltinHealthRules(strategy plan.Strategy, eagerInterval, lazyInterval int6
 			ForTicks: 1, HoldTicks: 2,
 		},
 		{
-			Name: RuleShardQueueDepth,
-			Help: "a shard ingest queue is backing up (capacity " +
-				fmt.Sprint(shardQueue) + " batches)",
-			Signal: obs.Signal{
-				Series: MetricShardQueueDepth,
-				Source: obs.SourceValue,
-				Agg:    obs.AggMax,
-			},
-			Warn: float64(shardQueue) - 2, Crit: float64(shardQueue) - 1,
-			ForTicks: 2, HoldTicks: 2,
-		},
-		{
-			Name: RuleShardBlocked,
-			Help: "producers are spending a large share of wall time blocked on full shard queues (ns blocked per second)",
-			Signal: obs.Signal{
-				Series: MetricShardQueueBlocked,
-				Source: obs.SourceRate,
-				Window: w,
-				Agg:    obs.AggMax,
-			},
-			Warn: 0.25e9, Crit: 0.6e9,
-			ForTicks: 2, HoldTicks: 2,
-		},
-		{
 			Name: RuleStalenessLag,
 			Help: "result staleness: max(clock) - min(watermark) exceeds the maintenance-cadence bound",
 			Signal: obs.Signal{
@@ -180,12 +154,4 @@ func (e *Engine) HealthRules(slo HealthSLO) []obs.Rule {
 		strategy = e.phys.Strategy
 	}
 	return BuiltinHealthRules(strategy, e.cfg.EagerInterval, e.cfg.LazyInterval, slo)
-}
-
-// HealthRules returns the sharded executor's built-in rule set. Shard
-// queue-depth and blocked-time rules match per-shard label sets via AggMax,
-// so one slow shard is enough to trip them.
-func (s *Sharded) HealthRules(slo HealthSLO) []obs.Rule {
-	e := s.shards[0]
-	return BuiltinHealthRules(s.phys.Strategy, e.cfg.EagerInterval, e.cfg.LazyInterval, slo)
 }

@@ -8,6 +8,7 @@ package exec
 // fault-injection step runs exactly these (go test -run TestBuiltinRule).
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -98,53 +99,6 @@ func TestBuiltinRulePrematureExpirations(t *testing.T) {
 	}
 }
 
-// TestBuiltinRuleShardQueueDepth is the stalled-shard scenario: a shard
-// stops draining, its queue-depth gauge pins at capacity, and the
-// backpressure rule escalates — but only after ForTicks consecutive
-// breaching ticks, so one transient full queue does not page.
-func TestBuiltinRuleShardQueueDepth(t *testing.T) {
-	reg, h := newRuleHarness(HealthSLO{Window: 3})
-	depth := reg.Gauge(MetricShardQueueDepth, "", obs.Labels{"shard": "1"})
-	reg.Gauge(MetricShardQueueDepth, "", obs.Labels{"shard": "0"}).Set(0)
-	h.Tick()              // baseline
-	depth.Set(shardQueue) // stalled: queue pinned at capacity
-	h.Tick()              // breach #1: pending only (ForTicks 2)
-	if got := ruleStatus(t, h, RuleShardQueueDepth); got.Severity != obs.SevOK {
-		t.Fatalf("one breaching tick escalated immediately: %v", got.Severity)
-	}
-	h.Tick() // breach #2: escalates
-	if got := ruleStatus(t, h, RuleShardQueueDepth); got.Severity != obs.SevCrit {
-		t.Fatalf("severity with queue pinned = %v, want CRIT (AggMax across shards)", got.Severity)
-	}
-	depth.Set(0) // shard drains
-	h.Tick()     // clear #1 (HoldTicks 2)
-	if got := ruleStatus(t, h, RuleShardQueueDepth); got.Severity != obs.SevCrit {
-		t.Fatalf("one clear tick de-escalated immediately: %v", got.Severity)
-	}
-	h.Tick() // clear #2: recovers
-	if got := ruleStatus(t, h, RuleShardQueueDepth); got.Severity != obs.SevOK {
-		t.Fatalf("severity after drain = %v, want OK", got.Severity)
-	}
-}
-
-func TestBuiltinRuleShardBlocked(t *testing.T) {
-	reg, h := newRuleHarness(HealthSLO{Window: 3})
-	blocked := reg.Counter(MetricShardQueueBlocked, "", obs.Labels{"shard": "0"})
-	h.Tick() // baseline
-	// Producers report far more blocked-nanos than wall time elapses
-	// between manual ticks — a rate deep past the 0.6 s/s CRIT line.
-	blocked.Add(5e9)
-	h.Tick()
-	blocked.Add(5e9)
-	h.Tick()
-	if got := ruleStatus(t, h, RuleShardBlocked); got.Severity != obs.SevCrit {
-		t.Fatalf("severity under sustained blocking = %v (value %g), want CRIT", got.Severity, got.Value)
-	}
-	if n := tickUntil(t, h, RuleShardBlocked, obs.SevOK, 10); n < 0 {
-		t.Fatal("blocked-time rule never recovered after blocking stopped")
-	}
-}
-
 func TestBuiltinRuleStalenessLag(t *testing.T) {
 	reg, h := newRuleHarness(HealthSLO{Window: 3})
 	clock := reg.Gauge(MetricClock, "", nil)
@@ -217,8 +171,69 @@ func TestBuiltinRuleDeltaP99DisabledWithoutSLO(t *testing.T) {
 			t.Fatal("delta-p99 rule present without an SLO")
 		}
 	}
-	if len(rules) != 6 {
-		t.Errorf("builtin rule count = %d, want 6 without a latency SLO", len(rules))
+	if len(rules) != 4 {
+		t.Errorf("builtin rule count = %d, want 4 without a latency SLO", len(rules))
+	}
+}
+
+// TestBuiltinRulesReadRegisteredSeries: every series a built-in rule reads
+// (its Minus operand included) is registered when the engine is built, so no
+// rule evaluates a series the engine never writes. It covers a single-query
+// engine and a three-query registry, both before the first Push.
+func TestBuiltinRulesReadRegisteredSeries(t *testing.T) {
+	registry := NewMulti(Config{LazyInterval: 7, EagerInterval: 1, Metrics: obs.NewRegistry()})
+	for _, s := range []struct {
+		name string
+		root *plan.Node
+	}{{"q1", ckptQueries()[0].build()}, {"gb", groupByPlan()}, {"q3", ckptQueries()[2].build()}} {
+		if _, err := registry.RegisterQuery(QuerySpec{Name: s.name, Phys: buildPhys(t, s.root, plan.UPA, plan.Options{})}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		eng  *Engine
+	}{{"Q1 engine", buildInstrumented(t, ckptQueries()[0], plan.UPA)}, {"three-query registry", registry}} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := tc.eng.Metrics().Snapshot()
+			var keys []string
+			for _, m := range []map[string]int64{snap.Counters, snap.Gauges} {
+				for k := range m {
+					keys = append(keys, k)
+				}
+			}
+			for k := range snap.Histograms {
+				keys = append(keys, k)
+			}
+			for k := range snap.LogHistograms {
+				keys = append(keys, k)
+			}
+			registered := func(sig obs.Signal) bool {
+				for _, k := range keys {
+					name, labels, _ := strings.Cut(k, "{")
+					if name != sig.Series {
+						continue
+					}
+					matched := true
+					for lk, lv := range sig.Match {
+						if !strings.Contains(labels, lk+`="`+lv+`"`) {
+							matched = false
+						}
+					}
+					if matched {
+						return true
+					}
+				}
+				return false
+			}
+			for _, r := range tc.eng.HealthRules(HealthSLO{DeltaP99: time.Millisecond}) {
+				for sig := &r.Signal; sig != nil; sig = sig.Minus {
+					if !registered(*sig) {
+						t.Errorf("rule %s reads %s (labels %v), which is not registered", r.Name, sig.Series, sig.Match)
+					}
+				}
+			}
+		})
 	}
 }
 

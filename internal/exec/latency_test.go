@@ -1,8 +1,8 @@
 package exec
 
-// Delta-latency plumbing tests: span sampling through the tracer, the
-// sharded executor's origin propagation, and the engine-level histograms on
-// entry points the conformance acceptance suite doesn't cover.
+// Delta-latency plumbing tests: span sampling through the tracer and the
+// engine-level histograms on entry points the conformance acceptance suite
+// doesn't cover.
 
 import (
 	"testing"
@@ -83,31 +83,5 @@ func TestDeltaSpanSamplingRate(t *testing.T) {
 	feed(t, eng, ckptTrace(q.streams))
 	if got := len(ring.Events()); got != 0 {
 		t.Errorf("sampling 1-in-2^30 over 192 arrivals emitted %d spans, want 0", got)
-	}
-}
-
-// TestShardedLatencyIncludesQueueWait: a sharded run's latency origin is
-// stamped when the arrival is first buffered, so recorded latency is
-// strictly positive and covers at least the worker hand-off.
-func TestShardedLatencyCoversEveryDelta(t *testing.T) {
-	q := ckptQueries()[0]
-	ex := buildInstrumented(t, q, plan.NT, 4)
-	sh := ex.(*Sharded)
-	trace := ckptTrace(q.streams)
-	// Batch path: the same entry point upaquery and bench use.
-	if err := sh.PushBatch(trace); err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	st := sh.Stats()
-	pos, neg := sh.DeltaLatency()
-	if pos.Count != st.Emitted || neg.Count != st.Retracted {
-		t.Errorf("latency counts (pos %d, neg %d) != deltas (emitted %d, retracted %d)",
-			pos.Count, neg.Count, st.Emitted, st.Retracted)
-	}
-	if st.Emitted > 0 && pos.P50 <= 0 {
-		t.Errorf("sharded p50 = %d, want > 0", pos.P50)
 	}
 }

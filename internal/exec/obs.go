@@ -70,12 +70,12 @@ const (
 	MetricRestoreNanos = "upa_checkpoint_restore_nanos"
 	// MetricDeltaLatency is the ingest→emit delta-latency distribution: for
 	// every tuple the query emits (insertion or retraction), the monotonic
-	// time from when the causing event entered the system (arrival admission,
-	// or — sharded — when it was first buffered for its shard) until the
-	// delta was folded into the result view. A log-bucketed histogram
-	// (summary exposition: p50/p95/p99/max), labeled {polarity} plus any
-	// Config.MetricLabels (shard, query). Recorded only when Config.Metrics
-	// is set.
+	// time from when the causing event entered the engine (the Push,
+	// PushBatch, Advance or table-update call) until the delta was folded
+	// into the result view. A log-bucketed histogram (summary exposition:
+	// p50/p95/p99/max), labeled {polarity} plus any Config.MetricLabels; a
+	// registry adds a per-query series labeled {query}. Recorded only when
+	// Config.Metrics is set.
 	MetricDeltaLatency = "upa_delta_latency_nanos"
 )
 
@@ -88,7 +88,7 @@ const (
 )
 
 // Per-operator metric names. Every series is labeled {op, id} (plus any
-// Config.MetricLabels such as shard) where id is the operator's pre-order
+// Config.MetricLabels) where id is the operator's pre-order
 // index in the plan (root = 0) — the same numbering plan.Explain and
 // Profile() use.
 const (
@@ -325,7 +325,7 @@ func (st *opStats) violations() (byKind [numViolationKinds]int64, total int64) {
 // exposition output lines up with Profile() and plan.Explain's tree order
 // (for a single-query engine the index is the root's pre-order position; in
 // a registry ids are assigned in registration order and never reused). base
-// labels (e.g. a shard id) are merged into every series.
+// labels (Config.MetricLabels) are merged into every series.
 func newOpStats(reg *obs.Registry, n *plan.PNode, idx int, base obs.Labels) *opStats {
 	id := strconv.Itoa(idx)
 	labels := obs.Labels{"op": n.Class.String(), "id": id}

@@ -6,7 +6,7 @@ package exec
 // expirations on a FIFO (WKS) edge, premature expirations on an
 // exp-timestamp (WK) edge — and checks each trips exactly the expected
 // violation kind. The acceptance half runs all five paper query shapes
-// under every strategy, sequential and sharded, and requires the monitor
+// under every strategy and requires the monitor
 // to report zero violations (the executor's emissions must conform to the
 // classes Section 3's rules declare) while the delta-latency histograms
 // account for every emitted delta.
@@ -136,7 +136,7 @@ func TestConformanceOrderlyBoundaryConforms(t *testing.T) {
 
 // buildInstrumented mirrors buildExecutor with a metrics registry attached,
 // so delta latency is recorded and the conformance gauges are live.
-func buildInstrumented(t *testing.T, q ckptQuery, strat plan.Strategy, shards int) executor {
+func buildInstrumented(t *testing.T, q ckptQuery, strat plan.Strategy) *Engine {
 	t.Helper()
 	root := q.build()
 	if err := plan.Annotate(root, plan.DefaultStats()); err != nil {
@@ -146,67 +146,41 @@ func buildInstrumented(t *testing.T, q ckptQuery, strat plan.Strategy, shards in
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	cfg := Config{LazyInterval: 7, EagerInterval: 1, Metrics: obs.NewRegistry()}
-	if shards == 1 {
-		eng, err := New(phys, cfg)
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		return eng
-	}
-	sh, err := NewSharded(phys, cfg, shards)
+	eng, err := New(phys, Config{LazyInterval: 7, EagerInterval: 1, Metrics: obs.NewRegistry()})
 	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
+		t.Fatalf("New: %v", err)
 	}
-	t.Cleanup(func() { sh.Close() })
-	return sh
+	return eng
 }
 
 // TestPaperQueriesConformant is the monitor's acceptance gate: every paper
-// query shape × strategy × shard count runs violation-free, and the
+// query shape × strategy runs violation-free, and the
 // latency histograms account for exactly the deltas the run emitted.
 func TestPaperQueriesConformant(t *testing.T) {
 	for _, q := range ckptQueries() {
 		for _, strat := range []plan.Strategy{plan.NT, plan.Direct, plan.UPA} {
-			for _, shards := range []int{1, 4} {
-				t.Run(q.name+"/"+strat.String()+"/"+shardName(shards), func(t *testing.T) {
-					ex := buildInstrumented(t, q, strat, shards)
-					feed(t, ex, ckptTrace(q.streams))
-					if err := ex.Sync(); err != nil {
-						t.Fatalf("Sync: %v", err)
-					}
-					var viol int64
-					var pos, neg obs.LogHistogramSnapshot
-					switch e := ex.(type) {
-					case *Engine:
-						viol = e.Violations()
-						pos, neg = e.DeltaLatency()
-					case *Sharded:
-						viol = e.Violations()
-						pos, neg = e.DeltaLatency()
-					}
-					if viol != 0 {
-						t.Errorf("conformance violations = %d, want 0", viol)
-					}
-					st := ex.Stats()
-					if pos.Count != st.Emitted {
-						t.Errorf("latency pos count = %d, emitted = %d", pos.Count, st.Emitted)
-					}
-					if neg.Count != st.Retracted {
-						t.Errorf("latency neg count = %d, retracted = %d", neg.Count, st.Retracted)
-					}
-					if st.Emitted > 0 && pos.Max <= 0 {
-						t.Errorf("emitted %d deltas but max latency is %d", st.Emitted, pos.Max)
-					}
-				})
-			}
+			t.Run(q.name+"/"+strat.String()+"/seq", func(t *testing.T) {
+				ex := buildInstrumented(t, q, strat)
+				feed(t, ex, ckptTrace(q.streams))
+				if err := ex.Sync(); err != nil {
+					t.Fatalf("Sync: %v", err)
+				}
+				viol := ex.Violations()
+				pos, neg := ex.DeltaLatency()
+				if viol != 0 {
+					t.Errorf("conformance violations = %d, want 0", viol)
+				}
+				st := ex.Stats()
+				if pos.Count != st.Emitted {
+					t.Errorf("latency pos count = %d, emitted = %d", pos.Count, st.Emitted)
+				}
+				if neg.Count != st.Retracted {
+					t.Errorf("latency neg count = %d, retracted = %d", neg.Count, st.Retracted)
+				}
+				if st.Emitted > 0 && pos.Max <= 0 {
+					t.Errorf("emitted %d deltas but max latency is %d", st.Emitted, pos.Max)
+				}
+			})
 		}
 	}
-}
-
-func shardName(n int) string {
-	if n == 1 {
-		return "seq"
-	}
-	return "sharded"
 }

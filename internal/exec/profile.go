@@ -115,11 +115,6 @@ func (e *Engine) profileQuery(q *queryUnit) []OpProfile {
 	return out
 }
 
-// WriteProfile renders Profile as an aligned tree.
-func (e *Engine) WriteProfile(w io.Writer) error {
-	return writeProfiles(w, e.Profile())
-}
-
 // WriteConformance renders the conformance monitor's verdict as a table:
 // one row per operator with its declared and observed update-pattern
 // classes and violation counts by kind (shared by the /debug/conformance
@@ -155,8 +150,9 @@ func WriteConformance(w io.Writer, profs []OpProfile) error {
 	return nil
 }
 
-// writeProfiles renders a profile slice (shared by Engine and Sharded).
-func writeProfiles(w io.Writer, profs []OpProfile) error {
+// WriteProfile renders Profile as an aligned tree.
+func (e *Engine) WriteProfile(w io.Writer) error {
+	profs := e.Profile()
 	if len(profs) == 0 {
 		_, err := fmt.Fprintln(w, "(bare window plan: no operators)")
 		return err

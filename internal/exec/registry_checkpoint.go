@@ -21,7 +21,7 @@ import (
 //	registry fingerprint (string: per-query label + plan fingerprint,
 //	  in registration order)
 //	query count (uvarint)
-//	coordinator clock (varint)
+//	engine clock (varint)
 //	table section: count, then per unique table (deduplicated across all
 //	  queries) its name and contents
 //	clock + maintenance cursors + global counters
@@ -162,7 +162,7 @@ func (e *Engine) RestoreRegistry(r io.Reader) error {
 			Field: "queries", Want: strconv.Itoa(len(e.queries)), Got: strconv.Itoa(n),
 		}
 	}
-	dec.Varint() // coordinator clock; the engine's clock travels below
+	dec.Varint() // engine clock; the state section below carries it too
 	tables := e.uniqueRegistryTables()
 	tn := dec.Count()
 	if err := dec.Err(); err != nil {

@@ -55,7 +55,7 @@ func TestMalformedBatchRejectedWhole(t *testing.T) {
 				name = tc.name + "/Push"
 			}
 			t.Run(name, func(t *testing.T) {
-				eng := buildExecutor(t, q, plan.UPA, 1).(*Engine)
+				eng := buildExecutor(t, q, plan.UPA)
 				feed(t, eng, ckptTrace(q.streams)[:100])
 				clock, stats := eng.Clock(), eng.Stats()
 				view := renderRows(snapshotOf(t, eng))

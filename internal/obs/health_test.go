@@ -161,10 +161,10 @@ func TestHealthSignalMinusAndAgg(t *testing.T) {
 		Warn: math.NaN(), Crit: 50,
 		ForTicks: 1, HoldTicks: 1,
 	})
-	reg.Gauge("clock", "", Labels{"shard": "0"}).Set(100)
-	reg.Gauge("clock", "", Labels{"shard": "1"}).Set(120)
-	reg.Gauge("wm", "", Labels{"shard": "0"}).Set(90)
-	reg.Gauge("wm", "", Labels{"shard": "1"}).Set(110)
+	reg.Gauge("clock", "", Labels{"query": "q0"}).Set(100)
+	reg.Gauge("clock", "", Labels{"query": "q1"}).Set(120)
+	reg.Gauge("wm", "", Labels{"query": "q0"}).Set(90)
+	reg.Gauge("wm", "", Labels{"query": "q1"}).Set(110)
 	h.Tick()
 	st := h.Status()
 	// max(clock)=120, min(wm)=90 → lag 30.
@@ -186,16 +186,16 @@ func TestHealthQuantileSignalMergesSeries(t *testing.T) {
 		Warn: math.NaN(), Crit: 1 << 20,
 		ForTicks: 1, HoldTicks: 1,
 	})
-	pos := reg.LogHistogram("lat", "", Labels{"polarity": "pos", "shard": "0"})
-	pos2 := reg.LogHistogram("lat", "", Labels{"polarity": "pos", "shard": "1"})
-	neg := reg.LogHistogram("lat", "", Labels{"polarity": "neg", "shard": "0"})
+	pos := reg.LogHistogram("lat", "", Labels{"polarity": "pos", "query": "q0"})
+	pos2 := reg.LogHistogram("lat", "", Labels{"polarity": "pos", "query": "q1"})
+	neg := reg.LogHistogram("lat", "", Labels{"polarity": "neg", "query": "q0"})
 	h.Tick() // baseline
 	pos.ObserveN(100, 10)
 	pos2.ObserveN(1<<24, 10) // the tail lives entirely in another label set
 	neg.ObserveN(1<<30, 50)
 	h.Tick()
 	st := h.Status()
-	// The p99 of the merged pos-series window must see shard 1's tail…
+	// The p99 of the merged pos-series window must see q1's tail…
 	if st.Rules[0].Value < float64(int64(1)<<23) {
 		t.Errorf("p99 = %g, want the cross-series tail (>= 2^23)", st.Rules[0].Value)
 	}

@@ -85,14 +85,14 @@ func TestHistoryRingWrap(t *testing.T) {
 
 func TestHistoryBareNameFansOutLabelSets(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("hits", "", Labels{"shard": "0"}).Add(1)
-	reg.Counter("hits", "", Labels{"shard": "1"}).Add(2)
+	reg.Counter("hits", "", Labels{"query": "q0"}).Add(1)
+	reg.Counter("hits", "", Labels{"query": "q1"}).Add(2)
 	h := NewHistory(reg, HistoryConfig{Capacity: 4})
 	h.Sample()
 	if ws := h.Window("hits", 0); len(ws) != 2 {
 		t.Errorf("bare-name Window matched %d series, want 2", len(ws))
 	}
-	if ws := h.Window(`hits{shard="1"}`, 0); len(ws) != 1 {
+	if ws := h.Window(`hits{query="q1"}`, 0); len(ws) != 1 {
 		t.Errorf("exact-key Window matched %d series, want 1", len(ws))
 	}
 	keys := h.Series()

@@ -169,8 +169,9 @@ func (s LogHistogramSnapshot) Quantile(q float64) int64 {
 }
 
 // Merge combines two snapshots bucket-wise and recomputes the quantiles —
-// how sharded execution folds per-shard latency distributions into one
-// (quantiles themselves cannot be averaged; bucket counts can).
+// how the history sampler and health rules fold per-tick or per-series
+// latency distributions into one (quantiles themselves cannot be averaged;
+// bucket counts can).
 func (s LogHistogramSnapshot) Merge(o LogHistogramSnapshot) LogHistogramSnapshot {
 	var counts [logBuckets]int64
 	for i, c := range s.Buckets {

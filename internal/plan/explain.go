@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -85,9 +84,6 @@ type ExplainTree struct {
 	Pattern core.Pattern
 	// View describes the materialized-result structure.
 	View string
-	// Partition is the partition-key status: the per-stream routing columns
-	// when the plan shards, or the human-readable fallback reason.
-	Partition string
 	// Root is the plan tree (never nil; a bare window plan renders as its
 	// source leaf).
 	Root *ExplainNode
@@ -97,9 +93,6 @@ type ExplainTree struct {
 	// Clock is the engine's logical time; Watermark is the timestamp up to
 	// which expirations are fully reflected in the result view.
 	Clock, Watermark int64
-	// Shards is how many engine copies the counters were summed over
-	// (1 for a sequential engine).
-	Shards int
 }
 
 // Explain builds the renderable tree for a physical plan. The logical and
@@ -108,10 +101,9 @@ type ExplainTree struct {
 // operator, both its logical parameters and its physical configuration.
 func Explain(p *Physical) *ExplainTree {
 	t := &ExplainTree{
-		Strategy:  p.Strategy,
-		Pattern:   p.Pattern,
-		View:      viewDesc(p.View),
-		Partition: partitionDesc(p),
+		Strategy: p.Strategy,
+		Pattern:  p.Pattern,
+		View:     viewDesc(p.View),
 	}
 	srcIdx := 0
 	id := 0
@@ -191,43 +183,17 @@ func viewDesc(v ViewConfig) string {
 	return out
 }
 
-// partitionDesc runs the partitionability analysis and renders its verdict.
-func partitionDesc(p *Physical) string {
-	part, err := partitionKey(p.Logical)
-	if err != nil {
-		return "not partitionable: " + err.Error()
-	}
-	ids := make([]int, 0, len(part.ByStream))
-	for id := range part.ByStream {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	parts := make([]string, 0, len(ids))
-	for _, id := range ids {
-		parts = append(parts, fmt.Sprintf("S%d%v", id, part.ByStream[id]))
-	}
-	out := "by key " + strings.Join(parts, " ")
-	if part.Stateless {
-		out += " (stateless: any key spreads load)"
-	}
-	return out
-}
-
 // WriteText renders the tree as indented text. Header lines carry the
 // plan-wide choices; each node line shows the operator, its update-pattern
 // class in brackets (as in the paper's Figure 6), and its metric id. In
 // ANALYZE mode each operator is followed by a counters line.
 func (t *ExplainTree) WriteText(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "strategy:  %v\npattern:   [%v]\nview:      %s\npartition: %s\n",
-		t.Strategy, t.Pattern, t.View, t.Partition); err != nil {
+	if _, err := fmt.Fprintf(w, "strategy:  %v\npattern:   [%v]\nview:      %s\n",
+		t.Strategy, t.Pattern, t.View); err != nil {
 		return err
 	}
 	if t.Analyzed {
-		shards := t.Shards
-		if shards < 1 {
-			shards = 1
-		}
-		if _, err := fmt.Fprintf(w, "analyze:   clock=%d watermark=%d shards=%d\n", t.Clock, t.Watermark, shards); err != nil {
+		if _, err := fmt.Fprintf(w, "analyze:   clock=%d watermark=%d\n", t.Clock, t.Watermark); err != nil {
 			return err
 		}
 	}

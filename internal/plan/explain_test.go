@@ -12,8 +12,8 @@ func TestExplainTreeStructure(t *testing.T) {
 	if tree.Strategy != UPA {
 		t.Fatalf("strategy = %v", tree.Strategy)
 	}
-	if tree.View == "" || tree.Partition == "" {
-		t.Fatalf("view/partition empty: %q / %q", tree.View, tree.Partition)
+	if tree.View == "" {
+		t.Fatalf("view empty")
 	}
 	if tree.Root == nil || !strings.HasPrefix(tree.Root.Name, "join(") {
 		t.Fatalf("root = %+v", tree.Root)
@@ -59,7 +59,6 @@ func TestExplainWriteText(t *testing.T) {
 		"strategy:  UPA",
 		"pattern:   [",
 		"view:      ",
-		"partition: by key",
 		"id=0",
 		"source(S0",
 		"source(S1",
@@ -77,7 +76,7 @@ func TestExplainWriteTextAnalyzed(t *testing.T) {
 	p := buildFor(t, q1Plan(100, "ftp"), UPA, Options{})
 	tree := Explain(p)
 	tree.Analyzed = true
-	tree.Clock, tree.Watermark, tree.Shards = 200, 195, 2
+	tree.Clock, tree.Watermark = 200, 195
 	tree.Walk(func(n *ExplainNode) {
 		if n.ID >= 0 {
 			n.Stats = &NodeStats{InPos: 10, OutPos: 7, OutNeg: 2, Expired: 3, State: 4, Touched: 55, ProcNanos: 1500}
@@ -89,7 +88,7 @@ func TestExplainWriteTextAnalyzed(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"analyze:   clock=200 watermark=195 shards=2",
+		"analyze:   clock=200 watermark=195\n",
 		"in +10/-0  out +7/-2  expired 3  state 4  touched 55",
 		"proc 1.5µs",
 	} {

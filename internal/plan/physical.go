@@ -144,8 +144,7 @@ type PSource struct {
 type Physical struct {
 	Strategy Strategy
 	Logical  *Node
-	Opts     Options // build options, kept so the plan can be rebuilt (sharding)
-	Root     *PNode  // nil for a bare source plan
+	Root     *PNode // nil for a bare source plan
 	Sources  []*PSource
 	Tables   []*PNode // operators consuming relations, for update routing
 	View     ViewConfig
@@ -159,7 +158,7 @@ func Build(root *Node, s Strategy, opts Options) (*Physical, error) {
 	if root.Schema == nil {
 		return nil, fmt.Errorf("plan: Build requires an annotated plan (call Annotate first)")
 	}
-	p := &Physical{Strategy: s, Logical: root, Opts: opts, Schema: root.Schema, Pattern: root.Pattern}
+	p := &Physical{Strategy: s, Logical: root, Schema: root.Schema, Pattern: root.Pattern}
 	node, err := p.build(root, opts)
 	if err != nil {
 		return nil, err

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// Key construction sits on the hot path of every keyed buffer, join probe,
-// and shard-routing decision, so the narrow (≤3 column) form must not
+// Key construction sits on the hot path of every keyed buffer and join
+// probe, so the narrow (≤3 column) form must not
 // allocate at all and the wide form must allocate only its single backing
 // buffer.
 

@@ -204,7 +204,7 @@ func (e *Engine) PlanPage() MetricsPage {
 		Title: "EXPLAIN of the running plan (?analyze=1, ?format=dot)",
 		Handler: func(w http.ResponseWriter, r *http.Request) {
 			analyze := r.URL.Query().Get("analyze") != ""
-			t := e.explainTree(analyze)
+			t := e.q.h.Explain(analyze)
 			if r.URL.Query().Get("format") == "dot" {
 				w.Header().Set("Content-Type", "text/vnd.graphviz; charset=utf-8")
 				_ = t.WriteDOT(w)
@@ -217,28 +217,16 @@ func (e *Engine) PlanPage() MetricsPage {
 }
 
 // Metrics returns the registry backing the engine's counters (the one
-// given WithMetrics, or the engine's private registry). A sharded engine's
-// shards share one registry, with per-shard series labeled shard="i".
-func (e *Engine) Metrics() *MetricsRegistry {
-	if e.sh != nil {
-		return e.sh.Metrics()
-	}
-	return e.seq.Metrics()
-}
+// given WithMetrics, or the engine's private registry).
+func (e *Engine) Metrics() *MetricsRegistry { return e.reg.Metrics() }
 
 // DeltaLatency snapshots the engine's ingest→emit delta-latency
 // distributions, split by output polarity: pos covers emitted insertions,
 // neg covers retractions (negative tuples). Latency is measured from the
-// moment an arrival enters Push/PushBatch (for sharded engines: enters the
-// shard buffer, so queue wait counts) to the moment its consequences are
-// folded into the result view. Recording requires WithMetrics; without it
-// both snapshots are zero. Sharded engines fold all shards' histograms.
-func (e *Engine) DeltaLatency() (pos, neg LatencySnapshot) {
-	if e.sh != nil {
-		return e.sh.DeltaLatency()
-	}
-	return e.seq.DeltaLatency()
-}
+// moment an arrival enters Push/PushBatch to the moment its consequences
+// are folded into the result view. Recording requires WithMetrics; without
+// it both snapshots are zero.
+func (e *Engine) DeltaLatency() (pos, neg LatencySnapshot) { return e.reg.e.DeltaLatency() }
 
 // PatternViolations returns the total number of update-pattern conformance
 // violations the engine's per-edge monitor has recorded: retractions that
@@ -247,12 +235,7 @@ func (e *Engine) DeltaLatency() (pos, neg LatencySnapshot) {
 // edge, premature expirations on a weak edge). Zero on a conformant run.
 // Per-operator and per-kind breakdowns are in OpStats, EXPLAIN ANALYZE, the
 // upa_pattern_violations_total series, and ConformancePage.
-func (e *Engine) PatternViolations() int64 {
-	if e.sh != nil {
-		return e.sh.Violations()
-	}
-	return e.seq.Violations()
-}
+func (e *Engine) PatternViolations() int64 { return e.reg.e.Violations() }
 
 // NewLogAlertSink builds an alert sink that writes one human-readable line
 // per transition to w.
@@ -287,56 +270,29 @@ type HealthConfig struct {
 // WithHealth attaches the self-monitoring subsystem to the compiled
 // engine: a history sampler over the engine's registry (plus process-level
 // build/uptime/runtime series), the engine's built-in health rules
-// (pattern violations, premature expirations, shard backpressure, latency
-// SLO, staleness lag, checkpoint age) plus any user rules, and an alert
-// state machine per rule. Implies metrics: when no WithMetrics registry
-// was given, a private one is created. The sampler goroutine starts at
-// Compile and stops at Close.
+// (pattern violations, premature expirations, latency SLO, staleness lag,
+// checkpoint age) plus any user rules, and an alert state machine per rule.
+// Implies metrics: when no WithMetrics registry was given, a private one is
+// created. The sampler goroutine starts at Compile and stops at Close.
 func WithHealth(hc HealthConfig) RegistryOption {
 	return registryOption(func(c *compileCfg) { c.health = &hc })
-}
-
-// attachHealth builds the health subsystem post-construction; called by
-// Compile when WithHealth was given.
-func (e *Engine) attachHealth(hc HealthConfig) {
-	hcfg := obs.HistoryConfig{Capacity: hc.Capacity}
-	if hc.Interval > 0 {
-		hcfg.Interval = hc.Interval
-	}
-	hist := obs.NewHistory(e.Metrics(), hcfg)
-	hist.BeforeSample(obs.RegisterProcessMetrics(e.Metrics()))
-	var rules []HealthRule
-	if e.sh != nil {
-		rules = e.sh.HealthRules(hc.SLO)
-	} else {
-		rules = e.seq.HealthRules(hc.SLO)
-	}
-	rules = append(rules, hc.Rules...)
-	h := obs.NewHealth(hist, rules...)
-	for _, s := range hc.Sinks {
-		h.AddSink(s)
-	}
-	e.health = h
-	if hc.Interval >= 0 {
-		h.Start()
-	}
 }
 
 // Health returns the engine's health monitor, or nil unless compiled
 // WithHealth. The monitor stays readable after Close (its sampler is
 // stopped, its last state is retained).
-func (e *Engine) Health() *HealthMonitor { return e.health }
+func (e *Engine) Health() *HealthMonitor { return e.reg.health }
 
 // HealthPage returns the /debug/health page for the exposition endpoint:
 // every rule's severity and signal value as JSON (or HTML with
 // ?format=html), answering 503 when overall health is CRIT. Serves an
 // "health monitoring disabled" error unless compiled WithHealth.
-func (e *Engine) HealthPage() MetricsPage { return obs.HealthPage(e.health) }
+func (e *Engine) HealthPage() MetricsPage { return obs.HealthPage(e.reg.health) }
 
 // HistoryPage returns the /debug/history page: the sampler's retained
 // per-series windows (?series=NAME&n=TICKS) as JSON. Serves an error
 // unless compiled WithHealth.
-func (e *Engine) HistoryPage() MetricsPage { return obs.HistoryPage(e.health.History()) }
+func (e *Engine) HistoryPage() MetricsPage { return obs.HistoryPage(e.reg.health.History()) }
 
 // ConformancePage returns a /debug/conformance page for the exposition
 // endpoint: one row per operator with its declared and observed

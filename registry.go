@@ -21,8 +21,8 @@ import (
 // engine compiled from the same query would hold.
 //
 // All methods must be driven from one goroutine, like Engine. A Registry
-// with one query is exactly Compile's sequential engine (Engine.Registry
-// exposes it); NewRegistry is the entry point for multi-query workloads.
+// with one query is exactly Compile's engine (Engine.Registry exposes it);
+// NewRegistry is the entry point for multi-query workloads.
 type Registry struct {
 	e      *exec.Engine
 	cfg    compileCfg
@@ -46,17 +46,13 @@ type Query struct {
 	phys *plan.Physical
 }
 
-// NewRegistry builds an empty shared executor. Sharded execution
-// (WithShards) is single-query and rejected here — use Compile.
+// NewRegistry builds an empty shared executor.
 func NewRegistry(opts ...RegistryOption) (*Registry, error) {
 	all := make([]Option, len(opts))
 	for i, o := range opts {
 		all[i] = o
 	}
 	cfg := applyOpts(all)
-	if cfg.shards > 1 {
-		return nil, fmt.Errorf("repro: sharded execution is single-query; compile WithShards through Compile")
-	}
 	if cfg.health != nil && cfg.execCfg.Metrics == nil {
 		cfg.execCfg.Metrics = NewMetricsRegistry()
 	}

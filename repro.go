@@ -97,8 +97,9 @@ var (
 )
 
 // MismatchError is the typed error Restore returns when a checkpoint was
-// written by a different plan — another query, strategy, schema, or shard
-// layout. The restore fails before any engine state is touched.
+// written by a different plan — another query, strategy, or schema — or
+// with a shard count other than 1. The restore fails before any engine state
+// is touched.
 type MismatchError = checkpoint.MismatchError
 
 // Re-exported data-model types.
@@ -197,7 +198,7 @@ func CountWindow(n int64) window.Spec { return window.Spec{Type: window.CountBas
 func Unbounded() window.Spec { return window.Unbounded }
 
 // Option tunes compilation and execution. Every concrete option is either a
-// RegistryOption (executor-wide: sharding, metrics, health, maintenance
+// RegistryOption (executor-wide: metrics, tracing, health, maintenance
 // cadence) or a QueryOption (per-query: planning choices, naming, emission
 // callbacks). Compile and Open accept both kinds — a single-query engine is
 // a registry with one query, so the distinction collapses there — while
@@ -209,9 +210,9 @@ type Option interface {
 }
 
 // RegistryOption configures the shared executor that all queries registered
-// on one Registry run on: shard/worker topology, observability wiring
-// (metrics, tracing, health), and the maintenance cadence every shared plan
-// node follows. Accepted by NewRegistry, Compile, and Open.
+// on one Registry run on: observability wiring (metrics, tracing, health)
+// and the maintenance cadence every shared plan node follows. Accepted by
+// NewRegistry, Compile, and Open.
 type RegistryOption interface {
 	Option
 	registryOption()
@@ -242,7 +243,6 @@ type compileCfg struct {
 	execCfg  exec.Config
 	optimize bool
 	stats    plan.Stats
-	shards   int
 	health   *HealthConfig
 	name     string
 }
@@ -305,15 +305,6 @@ func WithQueryName(name string) QueryOption {
 	return queryOption(func(c *compileCfg) { c.name = name })
 }
 
-// WithShards runs the query key-partitioned across n parallel shards when
-// the plan admits a routing key (see plan.PartitionKey); otherwise the
-// engine silently runs sequentially and ShardFallbackReason explains why.
-// Sharded engines should be Closed when done to stop their workers.
-// Sharded execution is single-query: NewRegistry rejects it.
-func WithShards(n int) RegistryOption {
-	return registryOption(func(c *compileCfg) { c.shards = n })
-}
-
 // WithStreamStats supplies estimation statistics for one stream (arrival
 // rate and per-column distinct counts), improving cost-based decisions.
 func WithStreamStats(streamID int, rate float64, distinct map[int]float64) QueryOption {
@@ -325,22 +316,13 @@ func WithStreamStats(streamID int, rate float64, distinct map[int]float64) Query
 	})
 }
 
-// Engine executes one compiled continuous query, either on a single
-// sequential executor or key-partitioned across parallel shards
-// (WithShards). A sequential engine is a thin wrapper over a one-query
-// Registry — the same shared executor that serves multi-query workloads —
-// and exposes that registry through the Registry and Query accessors.
-// Exactly one of seq/sh is set; every method delegates to whichever is
-// live.
+// Engine executes one compiled continuous query. It is a thin wrapper over
+// a one-query Registry — the same shared executor that serves multi-query
+// workloads — and exposes that registry through the Registry and Query
+// accessors.
 type Engine struct {
-	seq    *exec.Engine
-	sh     *exec.Sharded
-	reg    *Registry // backing one-query registry (sequential only)
-	q      *Query    // its single query handle
-	phys   *plan.Physical
-	root   *plan.Node
-	health *HealthMonitor
-	closed bool
+	reg *Registry // backing one-query registry
+	q   *Query    // its single query handle
 }
 
 // buildPhysical runs the compilation pipeline — annotate, optionally
@@ -373,8 +355,8 @@ func buildPhysical(q Node, strategy Strategy, cfg *compileCfg) (*plan.Node, *pla
 // planning, executor construction) with the underlying cause preserved for
 // errors.Is/As.
 //
-// A non-sharded Compile is a one-query registry: the engine's Registry()
-// can register further queries that share sub-plans with this one.
+// Compile builds a one-query registry: the engine's Registry() can register
+// further queries that share sub-plans with this one.
 func Compile(q Node, strategy Strategy, opts ...Option) (*Engine, error) {
 	cfg := applyOpts(opts)
 	if cfg.health != nil && cfg.execCfg.Metrics == nil {
@@ -386,55 +368,39 @@ func Compile(q Node, strategy Strategy, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Engine{phys: phys, root: root}
-	if cfg.shards > 1 {
-		sh, err := exec.NewSharded(phys, cfg.execCfg, cfg.shards)
-		if err != nil {
-			return nil, fmt.Errorf("repro: executor: %w", err)
-		}
-		out.sh = sh
-	} else {
-		// The sequential engine is a registry with this as its only query.
-		// The query stays unnamed so its metric series match a standalone
-		// engine's exactly; name it with WithQueryName to get per-query
-		// series alongside.
-		r := &Registry{e: exec.NewMulti(cfg.execCfg), cfg: cfg}
-		h, err := r.e.RegisterQuery(exec.QuerySpec{
-			Name: cfg.name, Phys: phys, OnEmit: cfg.execCfg.OnEmit,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("repro: executor: %w", err)
-		}
-		qh := &Query{r: r, h: h, root: root, phys: phys}
-		r.queries = append(r.queries, qh)
-		r.nextID = 1
-		out.seq = r.e
-		out.reg = r
-		out.q = qh
+	// The query stays unnamed so its metric series match a standalone
+	// engine's exactly; name it with WithQueryName to get per-query series
+	// alongside.
+	r := &Registry{e: exec.NewMulti(cfg.execCfg), cfg: cfg}
+	h, err := r.e.RegisterQuery(exec.QuerySpec{
+		Name: cfg.name, Phys: phys, OnEmit: cfg.execCfg.OnEmit,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("repro: executor: %w", err)
 	}
+	qh := &Query{r: r, h: h, root: root, phys: phys}
+	r.queries = append(r.queries, qh)
+	r.nextID = 1
 	if cfg.health != nil {
-		out.attachHealth(*cfg.health)
-		if out.reg != nil {
-			out.reg.health = out.health
-		}
+		// After registration: the built-in rules key off the query's
+		// strategy.
+		r.attachHealth(*cfg.health)
 	}
-	return out, nil
+	return &Engine{reg: r, q: qh}, nil
 }
 
-// Registry returns the one-query registry backing a sequential engine —
-// register further queries on it to share this query's sub-plans — or nil
-// on a sharded engine (sharded execution is single-query).
+// Registry returns the one-query registry backing the engine; register
+// further queries on it to share this query's sub-plans.
 func (e *Engine) Registry() *Registry { return e.reg }
 
-// Query returns the engine's query handle on its backing registry, or nil
-// on a sharded engine.
+// Query returns the engine's query handle on its backing registry.
 func (e *Engine) Query() *Query { return e.q }
 
 // Open compiles the query and restores the engine's state from a checkpoint
-// written by an engine compiled from the same query, strategy, and options
-// (including WithShards — a 4-shard checkpoint reopens only at 4 shards).
+// written by an engine compiled from the same query, strategy, and options.
 // On a restore failure the freshly compiled engine is closed and the error
-// (a *MismatchError for plan/shard-layout disagreements) is returned.
+// (a *MismatchError when the checkpoint's plan or layout disagrees) is
+// returned.
 func Open(r io.Reader, q Node, strategy Strategy, opts ...Option) (*Engine, error) {
 	eng, err := Compile(q, strategy, opts...)
 	if err != nil {
@@ -449,265 +415,106 @@ func Open(r io.Reader, q Node, strategy Strategy, opts ...Option) (*Engine, erro
 
 // Push feeds one stream tuple at its timestamp.
 func (e *Engine) Push(streamID int, ts int64, vals ...Value) error {
-	if e.closed {
-		return ErrClosed
-	}
-	if e.sh != nil {
-		return e.sh.Push(streamID, ts, vals...)
-	}
-	return e.seq.Push(streamID, ts, vals...)
+	return e.reg.Push(streamID, ts, vals...)
 }
 
 // PushBatch feeds many stream tuples at once — semantically identical to
-// pushing each in order, but amortizes per-call overhead and, on sharded
-// engines, keeps every shard's ingest queue full.
-func (e *Engine) PushBatch(batch []Arrival) error {
-	if e.closed {
-		return ErrClosed
-	}
-	if e.sh != nil {
-		return e.sh.PushBatch(batch)
-	}
-	return e.seq.PushBatch(batch)
-}
+// pushing each in order, but amortizes per-call overhead.
+func (e *Engine) PushBatch(batch []Arrival) error { return e.reg.PushBatch(batch) }
 
 // Advance moves logical time forward without a tuple arrival.
-func (e *Engine) Advance(ts int64) error {
-	if e.closed {
-		return ErrClosed
-	}
-	if e.sh != nil {
-		return e.sh.Advance(ts)
-	}
-	return e.seq.Advance(ts)
-}
+func (e *Engine) Advance(ts int64) error { return e.reg.Advance(ts) }
 
 // Sync forces all pending maintenance so the view is Definition-1 exact.
-func (e *Engine) Sync() error {
-	if e.sh != nil {
-		return e.sh.Sync()
-	}
-	return e.seq.Sync()
-}
-
-// synced is the shared sync-then-read path of every accessor that must
-// observe a Definition-1-exact view (Snapshot, ResultCount, StateTuples,
-// Touched, Lookup): force pending maintenance, then evaluate read against
-// the quiescent engine.
-func synced[T any](e *Engine, read func() (T, error)) (T, error) {
-	if err := e.Sync(); err != nil {
-		var zero T
-		return zero, err
-	}
-	return read()
-}
+func (e *Engine) Sync() error { return e.reg.Sync() }
 
 // Snapshot syncs and copies the current result rows.
-func (e *Engine) Snapshot() ([]Tuple, error) {
-	return synced(e, func() ([]Tuple, error) {
-		if e.sh != nil {
-			return e.sh.Snapshot()
-		}
-		return e.seq.View().Snapshot(), nil
-	})
-}
+func (e *Engine) Snapshot() ([]Tuple, error) { return e.reg.e.Snapshot() }
 
 // ResultCount syncs and returns the current result cardinality.
-func (e *Engine) ResultCount() (int, error) {
-	return synced(e, func() (int, error) {
-		if e.sh != nil {
-			return e.sh.ResultCount()
-		}
-		return e.seq.View().Len(), nil
-	})
-}
+func (e *Engine) ResultCount() (int, error) { return e.reg.e.ResultCount() }
 
-// Stats returns executor counters (summed across shards when sharded).
-func (e *Engine) Stats() Stats {
-	if e.sh != nil {
-		return e.sh.Stats()
-	}
-	return e.seq.Stats()
-}
+// Stats returns executor counters.
+func (e *Engine) Stats() Stats { return e.reg.Stats() }
 
 // Clock returns the engine's logical time.
-func (e *Engine) Clock() int64 {
-	if e.sh != nil {
-		return e.sh.Clock()
-	}
-	return e.seq.Clock()
-}
+func (e *Engine) Clock() int64 { return e.reg.Clock() }
 
 // Streams returns the base stream IDs the query reads.
-func (e *Engine) Streams() []int {
-	if e.sh != nil {
-		return e.sh.Streams()
-	}
-	return e.seq.Streams()
-}
+func (e *Engine) Streams() []int { return e.reg.Streams() }
 
-// StateTuples syncs and returns the total stored tuples (state + view),
-// summed across shards when sharded.
-func (e *Engine) StateTuples() (int, error) {
-	return synced(e, func() (int, error) {
-		if e.sh != nil {
-			return e.sh.StateTuples()
-		}
-		return e.seq.StateTuples(), nil
-	})
-}
+// StateTuples syncs and returns the total stored tuples (state + view).
+func (e *Engine) StateTuples() (int, error) { return e.reg.StateTuples() }
 
 // Touched syncs and returns cumulative tuple touches — the paper's
-// Section 6 work measure — summed across shards when sharded.
-func (e *Engine) Touched() (int64, error) {
-	return synced(e, func() (int64, error) {
-		if e.sh != nil {
-			return e.sh.Touched()
-		}
-		return e.seq.Touched(), nil
-	})
-}
+// Section 6 work measure.
+func (e *Engine) Touched() (int64, error) { return e.reg.Touched() }
 
-// View exposes the sequential engine's result view, or nil on a sharded
-// engine (each shard owns a private view; use Snapshot or Lookup instead).
-func (e *Engine) View() exec.View {
-	if e.sh != nil {
-		return nil
-	}
-	return e.seq.View()
-}
+// View exposes the query's result view without syncing.
+func (e *Engine) View() exec.View { return e.q.View() }
 
-// Shards returns the number of parallel shards executing the query (1 when
-// sequential, including after a partitionability fallback).
-func (e *Engine) Shards() int {
-	if e.sh != nil {
-		return e.sh.Shards()
-	}
-	return 1
-}
-
-// ShardFallbackReason explains why a WithShards request degraded to
-// sequential execution; it is empty when sharding is active or was never
-// requested.
-func (e *Engine) ShardFallbackReason() string {
-	if e.sh != nil {
-		return e.sh.FallbackReason()
-	}
-	return ""
-}
-
-// Close stops shard workers and marks the engine closed. It is idempotent —
-// the first call does the work, later calls return nil — and after it
-// returns, Push, PushBatch, Advance, UpdateTable, Checkpoint, and Restore
-// fail with ErrClosed.
-func (e *Engine) Close() error {
-	if e.closed {
-		return nil
-	}
-	e.closed = true
-	e.health.Stop()
-	if e.sh != nil {
-		return e.sh.Close()
-	}
-	e.reg.closed = true
-	return nil
-}
+// Close stops the health sampler and marks the engine closed. It is
+// idempotent — the first call does the work, later calls return nil — and
+// after it returns, Push, PushBatch, Advance, UpdateTable, Checkpoint, and
+// Restore fail with ErrClosed.
+func (e *Engine) Close() error { return e.reg.Close() }
 
 // Checkpoint writes the engine's complete dynamic state — clock, maintenance
 // cursors, counters, window contents, per-operator state, table contents,
-// and the result view, per shard when sharded — as a versioned binary
-// snapshot. Sharded engines quiesce their workers behind a batch barrier
-// first; checkpointing never perturbs the run it snapshots.
+// and the result view — as a versioned binary snapshot. Checkpointing never
+// perturbs the run it snapshots.
 func (e *Engine) Checkpoint(w io.Writer) error {
-	if e.closed {
+	if e.reg.closed {
 		return ErrClosed
 	}
-	if e.sh != nil {
-		return e.sh.Checkpoint(w)
-	}
-	return e.seq.Checkpoint(w)
+	return e.reg.e.Checkpoint(w)
 }
 
 // Restore rehydrates a freshly compiled engine from a checkpoint written by
-// an engine compiled from the same query, strategy, options, and shard
-// layout. The checkpoint's plan fingerprint and shard count are validated
+// an engine compiled from the same query, strategy, and options. The
+// checkpoint's plan fingerprint and shard count (always 1; multi-shard
+// checkpoints of the removed sharded executor do not restore) are validated
 // first: a disagreement fails with *MismatchError before any engine state
 // is touched. Truncated or damaged input fails with an error wrapping
 // ErrCheckpointCorrupt.
 func (e *Engine) Restore(r io.Reader) error {
-	if e.closed {
+	if e.reg.closed {
 		return ErrClosed
 	}
-	if e.sh != nil {
-		return e.sh.Restore(r)
-	}
-	return e.seq.Restore(r)
+	return e.reg.e.Restore(r)
 }
 
 // Schema returns the result schema.
-func (e *Engine) Schema() *Schema { return e.phys.Schema }
+func (e *Engine) Schema() *Schema { return e.q.Schema() }
 
 // Pattern returns the query's update-pattern class — the root edge
 // annotation of Section 5.2.
-func (e *Engine) Pattern() Pattern { return e.phys.Pattern }
+func (e *Engine) Pattern() Pattern { return e.q.Pattern() }
 
 // Explain writes the annotated physical plan as a tree: each operator
 // labeled with its output update pattern (as in the paper's Figure 6), its
-// physical configuration (key columns, chosen state structures), the chosen
-// view structure, and the plan's partition-key status.
-func (e *Engine) Explain(w io.Writer) error {
-	return e.explainTree(false).WriteText(w)
-}
+// physical configuration (key columns, chosen state structures), and the
+// chosen view structure.
+func (e *Engine) Explain(w io.Writer) error { return e.q.Explain(w) }
 
 // ExplainAnalyze syncs the engine and writes the Explain tree with each
 // operator's live counters — tuples in/out by polarity, expiration work,
-// state size, wall time — summed over shards on a sharded engine.
-func (e *Engine) ExplainAnalyze(w io.Writer) error {
-	if err := e.Sync(); err != nil {
-		return err
-	}
-	return e.explainTree(true).WriteText(w)
-}
+// state size, wall time.
+func (e *Engine) ExplainAnalyze(w io.Writer) error { return e.q.ExplainAnalyze(w) }
 
 // ExplainDOT writes the Explain tree as a Graphviz digraph; with analyze
 // set, node labels carry the live counters (the engine is synced first).
-func (e *Engine) ExplainDOT(w io.Writer, analyze bool) error {
-	if analyze {
-		if err := e.Sync(); err != nil {
-			return err
-		}
-	}
-	return e.explainTree(analyze).WriteDOT(w)
-}
-
-func (e *Engine) explainTree(analyze bool) *plan.ExplainTree {
-	if e.sh != nil {
-		return e.sh.Explain(analyze)
-	}
-	return e.seq.Explain(analyze)
-}
+func (e *Engine) ExplainDOT(w io.Writer, analyze bool) error { return e.q.ExplainDOT(w, analyze) }
 
 // OpStats returns per-operator runtime counters in plan pre-order (root
-// first), summed across shards on a sharded engine. Reads are atomic, so it
-// is safe while the engine runs; gauge-backed fields (state, touched) are as
-// of the last sampling point.
-func (e *Engine) OpStats() []exec.OpProfile {
-	if e.sh != nil {
-		return e.sh.Profile()
-	}
-	return e.seq.Profile()
-}
+// first). Reads are atomic, so it is safe while the engine runs;
+// gauge-backed fields (state, touched) are as of the last sampling point.
+func (e *Engine) OpStats() []exec.OpProfile { return e.q.OpStats() }
 
 // Watermark returns the staleness low-watermark: every expiration at or
 // below this timestamp is reflected in the result view. It trails Clock by
-// at most the larger maintenance interval and reaches Clock after a Sync;
-// sharded engines report the oldest shard watermark.
-func (e *Engine) Watermark() int64 {
-	if e.sh != nil {
-		return e.sh.Watermark()
-	}
-	return e.seq.Watermark()
-}
+// at most the larger maintenance interval and reaches Clock after a Sync.
+func (e *Engine) Watermark() int64 { return e.reg.Watermark() }
 
 // Lookup syncs and returns the current result rows whose key columns (the
 // view's retraction or group key) match the given values. When the chosen
@@ -715,53 +522,32 @@ func (e *Engine) Watermark() int64 {
 // under DIRECT and most UPA plans — use Snapshot there), it fails with
 // ErrNoKeyedView; an absent key is not an error and returns no rows.
 func (e *Engine) Lookup(vals ...Value) ([]Tuple, error) {
-	return synced(e, func() ([]Tuple, error) {
-		cols := make([]int, len(vals))
-		for i := range cols {
-			cols[i] = i
-		}
-		k := tuple.Tuple{Vals: vals}.Key(cols)
-		if e.sh != nil {
-			rows, ok := e.sh.LookupKey(k)
-			if !ok {
-				return nil, ErrNoKeyedView
-			}
-			return rows, nil
-		}
-		lv, ok := e.seq.View().(exec.Lookup)
-		if !ok {
-			return nil, ErrNoKeyedView
-		}
-		rows, ok := lv.LookupKey(k)
-		if !ok {
-			return nil, ErrNoKeyedView
-		}
-		return rows, nil
-	})
+	if err := e.Sync(); err != nil {
+		return nil, err
+	}
+	lv, ok := e.View().(exec.Lookup)
+	if !ok {
+		return nil, ErrNoKeyedView
+	}
+	cols := make([]int, len(vals))
+	for i := range cols {
+		cols[i] = i
+	}
+	rows, ok := lv.LookupKey(tuple.Tuple{Vals: vals}.Key(cols))
+	if !ok {
+		return nil, ErrNoKeyedView
+	}
+	return rows, nil
 }
 
 // UpdateTable applies one table mutation at its timestamp, routing the
 // consequences (for retroactive tables) through the plan.
-func (e *Engine) UpdateTable(tbl *Table, u TableUpdate) error {
-	if e.closed {
-		return ErrClosed
-	}
-	if e.sh != nil {
-		return e.sh.ApplyTableUpdate(tbl, u)
-	}
-	return e.seq.ApplyTableUpdate(tbl, u)
-}
+func (e *Engine) UpdateTable(tbl *Table, u TableUpdate) error { return e.reg.UpdateTable(tbl, u) }
 
 // WriteProfile renders per-operator runtime counters (state size, tuple
 // touches, emissions, retractions) as an aligned tree — an EXPLAIN ANALYZE
-// for the running continuous query. Sharded engines print one tree per
-// shard.
-func (e *Engine) WriteProfile(w io.Writer) error {
-	if e.sh != nil {
-		return e.sh.WriteProfile(w)
-	}
-	return e.seq.WriteProfile(w)
-}
+// for the running continuous query.
+func (e *Engine) WriteProfile(w io.Writer) error { return e.reg.e.WriteProfile(w) }
 
 // Trace re-exports: the synthetic LBL-style traffic workload of Section 6.1.
 type (

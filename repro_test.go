@@ -407,86 +407,3 @@ func TestLookup(t *testing.T) {
 		t.Fatalf("FIFO view lookup error = %v, want ErrNoKeyedView", err)
 	}
 }
-
-func TestWithShards(t *testing.T) {
-	schema := linkSchema()
-	build := func() repro.Node {
-		left := repro.Stream(0, schema, repro.TimeWindow(100)).Where(repro.Col("proto").EqStr("ftp"))
-		right := repro.Stream(1, schema, repro.TimeWindow(100)).Where(repro.Col("proto").EqStr("ftp"))
-		return left.JoinOn(right, "src")
-	}
-	seq, err := repro.Compile(build(), repro.UPA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := repro.Compile(build(), repro.UPA, repro.WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Close()
-	if sh.Shards() != 4 || sh.ShardFallbackReason() != "" {
-		t.Fatalf("shards=%d reason=%q", sh.Shards(), sh.ShardFallbackReason())
-	}
-	protos := []string{"ftp", "http", "ftp", "telnet"}
-	var batch []repro.Arrival
-	for ts := int64(1); ts <= 200; ts++ {
-		vals := []repro.Value{repro.Int(ts % 9), repro.Str(protos[ts%4]), repro.Int(ts)}
-		if err := seq.Push(int(ts%2), ts, vals...); err != nil {
-			t.Fatal(err)
-		}
-		batch = append(batch, repro.Arrival{Stream: int(ts % 2), TS: ts, Vals: vals})
-	}
-	if err := sh.PushBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	a, err := seq.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sh.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("sharded snapshot has %d rows, sequential %d", len(b), len(a))
-	}
-	// Keyed (group-by) views support sharded point lookups.
-	gq := repro.Stream(0, schema, repro.TimeWindow(100)).GroupBy([]string{"src"}, repro.CountAll())
-	geng, err := repro.Compile(gq, repro.UPA, repro.WithShards(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer geng.Close()
-	for ts := int64(1); ts <= 20; ts++ {
-		if err := geng.Push(0, ts, repro.Int(ts%4), repro.Str("ftp"), repro.Int(ts)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rows, err := geng.Lookup(repro.Int(2))
-	if err != nil || len(rows) != 1 || rows[0].Vals[1] != repro.Int(5) {
-		t.Fatalf("sharded Lookup(2) = %v, %v (want one group with count 5)", rows, err)
-	}
-}
-
-func TestWithShardsFallback(t *testing.T) {
-	schema := linkSchema()
-	// Count-based windows cannot shard: eviction order is global.
-	q := repro.Stream(0, schema, repro.CountWindow(10)).Select("src").Distinct()
-	eng, err := repro.Compile(q, repro.UPA, repro.WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if eng.Shards() != 1 {
-		t.Fatalf("Shards() = %d, want 1", eng.Shards())
-	}
-	if !strings.Contains(eng.ShardFallbackReason(), "count-based window") {
-		t.Fatalf("reason = %q", eng.ShardFallbackReason())
-	}
-	if err := eng.Push(0, 1, repro.Int(1), repro.Str("ftp"), repro.Int(5)); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := eng.ResultCount(); err != nil || n != 1 {
-		t.Fatalf("ResultCount = %d, %v", n, err)
-	}
-}
