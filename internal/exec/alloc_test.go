@@ -39,46 +39,78 @@ const ingestAllocBudget = 70.0
 // page every few batches. A per-row allocation would add ~32 and trip it.
 const groupByAllocBudget = 1.0
 
+// ntNegateJoinAllocBudget is the ceiling for one steady-state 64-arrival
+// PushBatch on Q5 (negation below a join) under NT. The driver feeds streams
+// 0 and 1 only, so the work is the negation and the window-expiration
+// negatives every eager pass sends down as one run per source. Measured 0;
+// delivering each negative as its own one-tuple run cost 15 (an output
+// buffer per operator per negative), which trips the gate.
+const ntNegateJoinAllocBudget = 1.0
+
+// upaDistinctJoinAllocBudget is the ceiling for one steady-state 64-arrival
+// PushBatch on Q4 (join of duplicate eliminations) under UPA, where each
+// eager pass feeds the distincts' expiration outputs up the join as one run.
+// Measured 312 (join results' Concat value slices, closure probes of the
+// join's state buffers, the distincts' expiration outputs); forwarding
+// maintenance outputs tuple by tuple measured 395.
+const upaDistinctJoinAllocBudget = 320.0
+
+// steadyBatchAllocs warms eng and returns its steady-state allocations per
+// 64-arrival PushBatch: 8 ticks × streams 0 and 1 × 4-tuple bursts. Vals are
+// generated once; only timestamps advance between runs. The warm-up runs far
+// past the plans' 14–22-tick windows so buffer capacities, the view and the
+// emit pool reach steady state.
+func steadyBatchAllocs(t *testing.T, eng *Engine) float64 {
+	t.Helper()
+	r := rand.New(rand.NewSource(17))
+	batch := make([]Arrival, 64)
+	for i := range batch {
+		batch[i] = Arrival{Stream: i / 4 % 2, Vals: rndTuple(r)}
+	}
+	base := int64(0)
+	runOnce := func() {
+		for i := range batch {
+			batch[i].TS = base + int64(i/8)
+		}
+		if err := eng.PushBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		base += 8
+	}
+	for i := 0; i < 64; i++ {
+		runOnce()
+	}
+	got := testing.AllocsPerRun(100, runOnce)
+	t.Logf("steady-state PushBatch: %.1f allocs per 64-arrival batch (%.2f/tuple)", got, got/64)
+	return got
+}
+
 // TestBatchIngestAllocBudget gates steady-state PushBatch allocations on the
-// Q1 join shape and the Q6 group-by shape.
+// Q1 join shape, the Q6 group-by shape, and the maintenance-heavy Q5 (NT)
+// and Q4 (UPA) shapes.
 func TestBatchIngestAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation budgets are meaningless under -race")
 	}
 	t.Run("q1", func(t *testing.T) {
-		q := ckptQueries()[0] // Q1-join-of-selects
-		eng := buildExecutor(t, q, plan.UPA)
-
-		// A reusable 64-arrival batch: 8 ticks × 2 streams × 4-tuple bursts.
-		// Vals are generated once; only timestamps advance between runs.
-		r := rand.New(rand.NewSource(17))
-		batch := make([]Arrival, 0, 64)
-		for tick := 0; tick < 8; tick++ {
-			for s := 0; s < 2; s++ {
-				for b := 0; b < 4; b++ {
-					batch = append(batch, Arrival{Stream: s, TS: int64(tick), Vals: rndTuple(r)})
-				}
-			}
-		}
-		base := int64(0)
-		runOnce := func() {
-			for i := range batch {
-				batch[i].TS = base + int64(i/8)
-			}
-			if err := eng.PushBatch(batch); err != nil {
-				t.Fatal(err)
-			}
-			base += 8
-		}
-		// Warm far past the 20-tick window horizon so buffer capacities, the
-		// view, and the emit pool reach steady state.
-		for i := 0; i < 64; i++ {
-			runOnce()
-		}
-		got := testing.AllocsPerRun(100, runOnce)
-		t.Logf("steady-state PushBatch: %.1f allocs per 64-arrival batch (%.2f/tuple)", got, got/64)
+		eng := buildExecutor(t, ckptQueries()[0], plan.UPA) // Q1-join-of-selects
+		got := steadyBatchAllocs(t, eng)
 		if got > ingestAllocBudget {
 			t.Errorf("steady-state PushBatch: %.1f allocs per 64-arrival batch, budget %.1f", got, ingestAllocBudget)
+		}
+	})
+	t.Run("q5-negate-join-nt", func(t *testing.T) {
+		eng := buildExecutor(t, ckptQueries()[4], plan.NT) // Q5-negation-join
+		got := steadyBatchAllocs(t, eng)
+		if got > ntNegateJoinAllocBudget {
+			t.Errorf("steady-state PushBatch: %.1f allocs per 64-arrival batch, budget %.1f", got, ntNegateJoinAllocBudget)
+		}
+	})
+	t.Run("q4-distinct-join-upa", func(t *testing.T) {
+		eng := buildExecutor(t, ckptQueries()[3], plan.UPA) // Q4-join-of-distincts
+		got := steadyBatchAllocs(t, eng)
+		if got > upaDistinctJoinAllocBudget {
+			t.Errorf("steady-state PushBatch: %.1f allocs per 64-arrival batch, budget %.1f", got, upaDistinctJoinAllocBudget)
 		}
 	})
 	t.Run("q6-groupby", func(t *testing.T) {
@@ -115,33 +147,8 @@ func TestBatchIngestAllocBudgetInstrumented(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation budgets are meaningless under -race")
 	}
-	q := ckptQueries()[0] // Q1-join-of-selects
-	eng := buildInstrumented(t, q, plan.UPA)
-
-	r := rand.New(rand.NewSource(17))
-	batch := make([]Arrival, 0, 64)
-	for tick := 0; tick < 8; tick++ {
-		for s := 0; s < 2; s++ {
-			for b := 0; b < 4; b++ {
-				batch = append(batch, Arrival{Stream: s, TS: int64(tick), Vals: rndTuple(r)})
-			}
-		}
-	}
-	base := int64(0)
-	runOnce := func() {
-		for i := range batch {
-			batch[i].TS = base + int64(i/8)
-		}
-		if err := eng.PushBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-		base += 8
-	}
-	for i := 0; i < 64; i++ {
-		runOnce()
-	}
-	got := testing.AllocsPerRun(100, runOnce)
-	t.Logf("steady-state instrumented PushBatch: %.1f allocs per 64-arrival batch (%.2f/tuple)", got, got/64)
+	eng := buildInstrumented(t, ckptQueries()[0], plan.UPA) // Q1-join-of-selects
+	got := steadyBatchAllocs(t, eng)
 	if got > ingestAllocBudget {
 		t.Errorf("steady-state instrumented PushBatch: %.1f allocs per 64-arrival batch, budget %.1f", got, ingestAllocBudget)
 	}

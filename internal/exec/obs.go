@@ -16,6 +16,11 @@ import (
 const (
 	// MetricArrivals counts base-stream tuples pushed.
 	MetricArrivals = "upa_arrivals_total"
+	// MetricRejected counts arrivals refused before any state changed,
+	// labeled {reason} (RejectSchema, RejectUnknownStream,
+	// RejectTimeRegression): a rejected PushBatch adds its whole length, a
+	// rejected Advance or table update adds 1.
+	MetricRejected = "upa_rejected_arrivals_total"
 	// MetricEmitted counts positive output-stream tuples.
 	MetricEmitted = "upa_emitted_total"
 	// MetricRetracted counts negative output-stream tuples.
@@ -77,6 +82,14 @@ const (
 	// registry adds a per-query series labeled {query}. Recorded only when
 	// Config.Metrics is set.
 	MetricDeltaLatency = "upa_delta_latency_nanos"
+)
+
+// Label values of MetricRejected's {reason} dimension, one per ingest
+// sentinel error.
+const (
+	RejectSchema         = "schema"          // ErrSchema
+	RejectUnknownStream  = "unknown_stream"  // ErrUnknownStream
+	RejectTimeRegression = "time_regression" // ErrTimeRegression
 )
 
 // Label values of MetricDeltaLatency's {polarity} dimension.
@@ -157,6 +170,7 @@ type engineMetrics struct {
 	arrivals, emitted, retracted, windowNegatives      *obs.Counter
 	eagerPasses, lazyPasses, tableUpdates, viewExpired *obs.Counter
 	checkpoints, restores                              *obs.Counter
+	rejectedSchema, rejectedStream, rejectedTime       *obs.Counter
 	clock, watermark                                   *obs.Gauge
 	stateTuples, maxStateTuples, viewRows              *obs.Gauge
 	checkpointBytes, checkpointLast                    *obs.Gauge
@@ -176,10 +190,14 @@ func withLabel(base obs.Labels, k, v string) obs.Labels {
 
 func newEngineMetrics(reg *obs.Registry, base obs.Labels) engineMetrics {
 	const latHelp = "ingest-to-emit delta latency in nanoseconds (log-bucketed)"
+	const rejectHelp = "arrivals rejected before any state changed"
 	return engineMetrics{
 		latPos:          reg.LogHistogram(MetricDeltaLatency, latHelp, withLabel(base, "polarity", PolarityPos)),
 		latNeg:          reg.LogHistogram(MetricDeltaLatency, latHelp, withLabel(base, "polarity", PolarityNeg)),
 		arrivals:        reg.Counter(MetricArrivals, "base-stream tuples pushed", base),
+		rejectedSchema:  reg.Counter(MetricRejected, rejectHelp, withLabel(base, "reason", RejectSchema)),
+		rejectedStream:  reg.Counter(MetricRejected, rejectHelp, withLabel(base, "reason", RejectUnknownStream)),
+		rejectedTime:    reg.Counter(MetricRejected, rejectHelp, withLabel(base, "reason", RejectTimeRegression)),
 		emitted:         reg.Counter(MetricEmitted, "positive output-stream tuples", base),
 		retracted:       reg.Counter(MetricRetracted, "negative output-stream tuples", base),
 		windowNegatives: reg.Counter(MetricWindowNegatives, "window-generated retractions (NT strategy)", base),
@@ -222,7 +240,7 @@ type opStats struct {
 	// assigned at registration and never reused.
 	id int
 	// conf is the operator's pattern-conformance cell, maintained on the
-	// output edge by propagate/propagateBatch.
+	// output edge by propagate.
 	conf conformance
 	// outs and sinks are the node's fan-out: the operator input edges its
 	// emissions feed, and the registered queries whose result view it is the

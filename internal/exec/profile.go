@@ -71,12 +71,15 @@ func (e *Engine) Profile() []OpProfile {
 // counters — the physical work, summed over every query it serves. The ID
 // field is the row's pre-order position in this query's plan (matching its
 // EXPLAIN ids); only for the engine's first query does it also match the
-// "id" metric label.
+// "id" metric label. It returns nil once the query is unregistered.
 func (h *QueryHandle) Profile() []OpProfile {
 	return h.e.profileQuery(h.q)
 }
 
 func (e *Engine) profileQuery(q *queryUnit) []OpProfile {
+	if q.retired {
+		return nil // its operators' stats cells are gone
+	}
 	var out []OpProfile
 	idx := 0
 	var walk func(n *plan.PNode, depth int)

@@ -69,6 +69,9 @@ type queryUnit struct {
 	// deltaPos/deltaNeg mirror the engine-wide pending-delta counters for
 	// the per-query latency flush.
 	deltaPos, deltaNeg int64
+	// retired is set by UnregisterQuery: the query's private nodes, windows
+	// and view are gone, and its handle reports ErrUnregistered.
+	retired bool
 }
 
 // canon maps one of the query's plan nodes to the canonical node executing
@@ -463,6 +466,7 @@ func (e *Engine) UnregisterQuery(h *QueryHandle) (freed int, err error) {
 		st.sinks = removeSink(st.sinks, q)
 	}
 
+	q.retired = true
 	e.queries = append(e.queries[:idx], e.queries[idx+1:]...)
 	if len(e.queries) > 0 {
 		e.phys, e.view = e.queries[0].phys, e.queries[0].view
@@ -544,9 +548,15 @@ func (h *QueryHandle) ID() int { return h.q.id }
 // View returns the query's materialized result view.
 func (h *QueryHandle) View() View { return h.q.view }
 
+// Unregistered reports whether UnregisterQuery has removed the query.
+func (h *QueryHandle) Unregistered() bool { return h.q.retired }
+
 // Snapshot syncs the engine and returns the query's current result
 // multiset.
 func (h *QueryHandle) Snapshot() ([]tuple.Tuple, error) {
+	if h.q.retired {
+		return nil, ErrUnregistered
+	}
 	if err := h.e.Sync(); err != nil {
 		return nil, err
 	}
@@ -556,6 +566,9 @@ func (h *QueryHandle) Snapshot() ([]tuple.Tuple, error) {
 // ResultCount syncs the engine and returns the query's current result
 // cardinality.
 func (h *QueryHandle) ResultCount() (int, error) {
+	if h.q.retired {
+		return 0, ErrUnregistered
+	}
 	if err := h.e.Sync(); err != nil {
 		return 0, err
 	}

@@ -239,6 +239,9 @@ func (e *Engine) RestoreRegistry(r io.Reader) error {
 // queries were registered.
 func (h *QueryHandle) Checkpoint(w io.Writer) error {
 	e, q := h.e, h.q
+	if q.retired {
+		return ErrUnregistered
+	}
 	enc := checkpoint.NewEncoder(w)
 	enc.Begin()
 	enc.String(fingerprint(q.phys))

@@ -1,10 +1,9 @@
 package operator
 
-// Allocation-regression gate for the stateless batch fast path. These budgets
-// are the point of ProcessBatch: once the Emit buffer has warmed to capacity,
-// Select and Union must process a whole run without a single heap allocation,
-// and Project must pay exactly one (the shared backing array for the batch's
-// projected rows). A failure here means a change re-introduced per-tuple
+// Allocation-regression gate for the stateless operators' run path. Once the
+// Emit buffer has warmed to capacity, Select and Union must process a whole
+// run without a single heap allocation, and Project must pay exactly one (the
+// shared backing array for the run's projected rows). A failure here means a change re-introduced per-tuple
 // allocations on the hot path — fix the change, don't raise the budget
 // without a recorded benchmark justifying it.
 //
@@ -49,12 +48,12 @@ func TestSelectBatchAllocFree(t *testing.T) {
 	out := new(Emit)
 	// Warm the Emit to the run's emission count so steady-state runs only
 	// reuse capacity, as the executor's recycled buffers do.
-	if err := s.ProcessBatch(0, in, 10, out); err != nil {
+	if err := s.Process(0, in, 10, out); err != nil {
 		t.Fatal(err)
 	}
-	allocBudget(t, "Select.ProcessBatch", 0, func() {
+	allocBudget(t, "Select.Process", 0, func() {
 		out.Reset()
-		if err := s.ProcessBatch(0, in, 10, out); err != nil {
+		if err := s.Process(0, in, 10, out); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -67,12 +66,12 @@ func TestUnionBatchAllocFree(t *testing.T) {
 	}
 	in := allocBatch()
 	out := new(Emit)
-	if err := u.ProcessBatch(0, in, 10, out); err != nil {
+	if err := u.Process(0, in, 10, out); err != nil {
 		t.Fatal(err)
 	}
-	allocBudget(t, "Union.ProcessBatch", 0, func() {
+	allocBudget(t, "Union.Process", 0, func() {
 		out.Reset()
-		if err := u.ProcessBatch(1, in, 10, out); err != nil {
+		if err := u.Process(1, in, 10, out); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -85,14 +84,14 @@ func TestProjectBatchSingleAlloc(t *testing.T) {
 	}
 	in := allocBatch()
 	out := new(Emit)
-	if err := p.ProcessBatch(0, in, 10, out); err != nil {
+	if err := p.Process(0, in, 10, out); err != nil {
 		t.Fatal(err)
 	}
 	// One allocation per batch — the shared Value backing array all projected
 	// rows sub-slice — instead of one per tuple.
-	allocBudget(t, "Project.ProcessBatch", 1, func() {
+	allocBudget(t, "Project.Process", 1, func() {
 		out.Reset()
-		if err := p.ProcessBatch(0, in, 10, out); err != nil {
+		if err := p.Process(0, in, 10, out); err != nil {
 			t.Fatal(err)
 		}
 	})

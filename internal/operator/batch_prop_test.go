@@ -1,18 +1,18 @@
 package operator
 
-// Property test for the batch execution contract: for any operator and any
-// random event script (positive runs, retractions, Advance interleavings),
-// driving the script through (a) the tuple-at-a-time Process loop, (b) the
-// generic FallbackBatch driver, and (c) ProcessBatchInto — the native
-// ProcessBatch where one exists — must produce byte-identical emission
-// renderings at every step and leave identical StateSize()/Touched()
-// accounting. Batch execution is an optimization, never a semantic change.
+// Property test for the run contract of Operator.Process: for any operator
+// and any random event script (positive runs, retractions, Advance
+// interleavings), feeding each run whole, as runs of one, and in random
+// splits must produce byte-identical emission renderings at every step and
+// leave identical StateSize()/Touched() accounting. Grouping tuples into runs
+// is an optimization, never a semantic change.
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/relation"
 	"repro/internal/statebuf"
 	"repro/internal/tuple"
 )
@@ -99,7 +99,53 @@ func propOps() []propOp {
 			}
 			return x
 		}},
+		{name: "rel-join", sides: 1, negOK: true, make: func(t *testing.T) Operator {
+			j, err := NewRelJoin(RelJoinConfig{
+				Stream: linkSchema(), Table: propTable(t, true),
+				StreamCols: []int{0}, TableCols: []int{0},
+				StreamBuf: list,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return j
+		}},
+		{name: "nrr-join", sides: 1, negOK: true, make: func(t *testing.T) Operator {
+			j, err := NewNRRJoin(NRRJoinConfig{
+				Stream: linkSchema(), Table: propTable(t, false),
+				StreamCols: []int{0}, TableCols: []int{0},
+				LogResults: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return j
+		}},
 	}
+}
+
+// propTable builds the table the rel-join and nrr-join cases probe, keyed by
+// the script's src column: src 0 and 2 match one row, src 1 two, src 3 none.
+// The index is built before the rows go in, so every instance's buckets list
+// rows in insertion order (EnsureIndex over existing rows visits them in map
+// order, which differs between instances).
+func propTable(t *testing.T, retro bool) *relation.Table {
+	schema := tuple.MustSchema(
+		tuple.Column{Name: "src", Kind: tuple.KindInt},
+		tuple.Column{Name: "owner", Kind: tuple.KindString},
+	)
+	tbl := relation.NewNRR("owners", schema)
+	if retro {
+		tbl = relation.NewRelation("owners", schema)
+	}
+	tbl.EnsureIndex([]int{0})
+	for _, src := range []int64{0, 1, 1, 2} {
+		row := []tuple.Value{tuple.Int(src), tuple.String_(fmt.Sprint("owner", src, tbl.Len()))}
+		if err := tbl.Apply(relation.Update{Kind: relation.Insert, TS: 0, Row: row}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tbl
 }
 
 // propEvent is either an Advance to now (run == nil) or a run of same-side,
@@ -156,59 +202,63 @@ func genScript(r *rand.Rand, sides int, negOK bool, steps int) []propEvent {
 
 func renderEmissions(ts []tuple.Tuple) string { return fmt.Sprint(ts) }
 
+// runDrivers are the ways TestBatchDriversEquivalent cuts one script run
+// into Process calls: piece returns the length of the next call's run given
+// the number of tuples left.
+var runDrivers = []struct {
+	name  string
+	piece func(r *rand.Rand, left int) int
+}{
+	{"one-run", func(_ *rand.Rand, left int) int { return left }},
+	{"runs-of-one", func(*rand.Rand, int) int { return 1 }},
+	{"random-splits", func(r *rand.Rand, left int) int { return 1 + r.Intn(left) }},
+}
+
 func TestBatchDriversEquivalent(t *testing.T) {
 	for _, op := range propOps() {
 		for seed := int64(0); seed < 5; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", op.name, seed), func(t *testing.T) {
 				script := genScript(rand.New(rand.NewSource(seed)), op.sides, op.negOK, 120)
-				seq := op.make(t) // tuple-at-a-time Process loop
-				fb := op.make(t)  // generic FallbackBatch driver
-				nat := op.make(t) // ProcessBatchInto (native path if present)
-				out := new(Emit)  // reset and reused across events like the executor's
+				splits := rand.New(rand.NewSource(seed))
+				ops := make([]Operator, len(runDrivers))
+				for d := range ops {
+					ops[d] = op.make(t)
+				}
+				out := new(Emit) // reset and reused across calls like the executor's
+				got := make([]string, len(runDrivers))
 				for i, ev := range script {
-					if ev.run == nil {
-						a, errA := seq.Advance(ev.now)
-						b, errB := fb.Advance(ev.now)
-						c, errC := nat.Advance(ev.now)
-						if errA != nil || errB != nil || errC != nil {
-							t.Fatalf("event %d: Advance errs %v/%v/%v", i, errA, errB, errC)
+					for d, drv := range runDrivers {
+						var emitted []tuple.Tuple
+						if ev.run == nil {
+							adv, err := ops[d].Advance(ev.now)
+							if err != nil {
+								t.Fatalf("event %d: %s: Advance: %v", i, drv.name, err)
+							}
+							emitted = adv
 						}
-						if renderEmissions(a) != renderEmissions(b) || renderEmissions(a) != renderEmissions(c) {
-							t.Fatalf("event %d: Advance(%d) emissions diverge\nseq:      %v\nfallback: %v\nnative:   %v",
-								i, ev.now, a, b, c)
+						for rest := ev.run; len(rest) > 0; {
+							n := drv.piece(splits, len(rest))
+							out.Reset()
+							if err := ops[d].Process(ev.side, rest[:n], ev.now, out); err != nil {
+								t.Fatalf("event %d: %s: Process: %v", i, drv.name, err)
+							}
+							emitted = append(emitted, out.Tuples()...)
+							rest = rest[n:]
 						}
-						continue
-					}
-					var a []tuple.Tuple
-					for _, in := range ev.run {
-						outs, err := seq.Process(ev.side, in, ev.now)
-						if err != nil {
-							t.Fatalf("event %d: Process: %v", i, err)
-						}
-						a = append(a, outs...)
-					}
-					var bBuf Emit
-					if err := FallbackBatch(fb, ev.side, ev.run, ev.now, &bBuf); err != nil {
-						t.Fatalf("event %d: FallbackBatch: %v", i, err)
-					}
-					out.Reset()
-					if err := ProcessBatchInto(nat, ev.side, ev.run, ev.now, out); err != nil {
-						t.Fatalf("event %d: ProcessBatchInto: %v", i, err)
-					}
-					if renderEmissions(a) != renderEmissions(bBuf.Tuples()) ||
-						renderEmissions(a) != renderEmissions(out.Tuples()) {
-						t.Fatalf("event %d: run emissions diverge (side %d, now %d, %d tuples)\nseq:      %v\nfallback: %v\nnative:   %v",
-							i, ev.side, ev.now, len(ev.run), a, bBuf.Tuples(), out.Tuples())
+						got[d] = renderEmissions(emitted)
 					}
 					// Accounting must track step by step, not just at the end:
-					// batch execution may not skip or duplicate state work.
-					if seq.StateSize() != fb.StateSize() || seq.StateSize() != nat.StateSize() {
-						t.Fatalf("event %d: StateSize diverges: seq=%d fallback=%d native=%d",
-							i, seq.StateSize(), fb.StateSize(), nat.StateSize())
-					}
-					if seq.Touched() != fb.Touched() || seq.Touched() != nat.Touched() {
-						t.Fatalf("event %d: Touched diverges: seq=%d fallback=%d native=%d",
-							i, seq.Touched(), fb.Touched(), nat.Touched())
+					// a run may not skip or duplicate state work.
+					for d := 1; d < len(runDrivers); d++ {
+						if got[d] != got[0] {
+							t.Fatalf("event %d: emissions diverge (side %d, now %d, %d tuples)\n%s: %s\n%s: %s",
+								i, ev.side, ev.now, len(ev.run), runDrivers[0].name, got[0], runDrivers[d].name, got[d])
+						}
+						if ops[d].StateSize() != ops[0].StateSize() || ops[d].Touched() != ops[0].Touched() {
+							t.Fatalf("event %d: accounting diverges: %s state=%d touched=%d, %s state=%d touched=%d",
+								i, runDrivers[0].name, ops[0].StateSize(), ops[0].Touched(),
+								runDrivers[d].name, ops[d].StateSize(), ops[d].Touched())
+						}
 					}
 				}
 			})

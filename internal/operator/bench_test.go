@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/statebuf"
+	"repro/internal/tuple"
 )
 
 // BenchmarkDistinctImplementations drives a duplicated sliding-window stream
@@ -40,9 +41,13 @@ func BenchmarkDistinctImplementations(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			d := mk()
 			b.ReportAllocs()
+			var out Emit
+			var in [1]tuple.Tuple
 			for i := 0; i < b.N; i++ {
 				ts := int64(i)
-				if _, err := d.Process(0, ip(ts, ts+window, ts%300), ts); err != nil {
+				out.Reset()
+				in[0] = ip(ts, ts+window, ts%300)
+				if err := d.Process(0, in[:], ts, &out); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -71,10 +76,14 @@ func BenchmarkJoinStateStructures(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			var out Emit
+			var in [1]tuple.Tuple
 			for i := 0; i < b.N; i++ {
 				ts := int64(i)
 				side := i % 2
-				if _, err := j.Process(side, ip(ts, ts+window, ts%500), ts); err != nil {
+				out.Reset()
+				in[0] = ip(ts, ts+window, ts%500)
+				if err := j.Process(side, in[:], ts, &out); err != nil {
 					b.Fatal(err)
 				}
 				if i%16 == 0 {
@@ -105,9 +114,13 @@ func BenchmarkNegateCalendars(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			var out Emit
+			var in [1]tuple.Tuple
 			for i := 0; i < b.N; i++ {
 				ts := int64(i)
-				if _, err := n.Process(i%2, ip(ts, ts+window, ts%200), ts); err != nil {
+				out.Reset()
+				in[0] = ip(ts, ts+window, ts%200)
+				if err := n.Process(i%2, in[:], ts, &out); err != nil {
 					b.Fatal(err)
 				}
 			}

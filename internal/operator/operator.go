@@ -3,17 +3,24 @@
 //
 // Every operator processes three kinds of events:
 //
-//   - arrival of a positive tuple on one of its inputs (Process with
-//     t.Neg == false): update state, emit new results;
-//   - arrival of a negative tuple (Process with t.Neg == true): remove the
-//     corresponding tuple from state and emit the retractions of results it
-//     participated in — this path carries both the negative-tuple execution
-//     strategy (Section 2.3.1) and retractions originating at negation /
+//   - arrival of a positive tuple on one of its inputs (t.Neg == false):
+//     update state, emit new results;
+//   - arrival of a negative tuple (t.Neg == true): remove the corresponding
+//     tuple from state and emit the retractions of results it participated
+//     in — this path carries both the negative-tuple execution strategy
+//     (Section 2.3.1) and retractions originating at negation /
 //     retroactive-relation operators;
 //   - passage of time (Advance): expire state whose exp timestamps are due.
 //     Lazily-maintained operators (join inputs) merely discard; eager
 //     operators (duplicate elimination, group-by, negation, intersection)
 //     may emit new results in response (Section 2.3).
+//
+// Arrivals enter an operator only through Process, as a run: tuples of
+// either polarity that arrive on one input side at one clock value, handled
+// in order. Grouping tuples into runs changes none of the three event rules —
+// an operator emits for a run exactly the concatenation of what it would
+// emit for each tuple delivered alone — so a run of one is the
+// tuple-at-a-time case. Emissions are appended to an executor-owned Emit.
 //
 // Operators never expire state beyond their local clock (Section 2.3.2),
 // which the executor advances explicitly.
@@ -33,10 +40,11 @@ type Operator interface {
 	Class() core.OpClass
 	// Schema is the output schema.
 	Schema() *tuple.Schema
-	// Process handles one input tuple (positive or negative) arriving on
-	// input side (0 for unary operators), with the local clock at now.
-	// It returns the tuples emitted on the output stream, in order.
-	Process(side int, t tuple.Tuple, now int64) ([]tuple.Tuple, error)
+	// Process handles a run of input tuples (positive or negative, in
+	// order) arriving on input side (0 for unary operators), with the local
+	// clock at now, and appends the tuples emitted on the output stream to
+	// out, in order. It must not retain in or out after it returns.
+	Process(side int, in []tuple.Tuple, now int64, out *Emit) error
 	// Advance moves the local clock to now, expiring due state per the
 	// operator's maintenance policy, and returns any output this produces.
 	Advance(now int64) ([]tuple.Tuple, error)

@@ -91,18 +91,6 @@ type KeyedInserter interface {
 	InsertKeyed(k tuple.Key, t tuple.Tuple)
 }
 
-// HashedBuffer extends KeyedInserter one step further: the caller hands over
-// the key's 64-bit digest as well, so a join that inserts a tuple on one side
-// and probes the other with the same key hashes it exactly once. The digest
-// must be k.Hash64(); k itself still travels with the probe because distinct
-// keys can collide into one digest bucket and each visited tuple is verified
-// against it.
-type HashedBuffer interface {
-	KeyedInserter
-	InsertHashed(h uint64, t tuple.Tuple)
-	ProbeAppendHashed(h uint64, k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple
-}
-
 // sortExpired orders expired tuples deterministically by (Exp, TS) so
 // replacement emissions are reproducible across buffer kinds. FIFO-shaped
 // buffers pop expirations already in that order, so an O(n) sortedness scan

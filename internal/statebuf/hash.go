@@ -76,13 +76,6 @@ func (b *HashBuffer) InsertKeyed(k tuple.Key, t tuple.Tuple) {
 	b.insertHashed(k.Hash64(), t)
 }
 
-// InsertHashed implements HashedBuffer: stores t under a caller-computed key
-// digest (which must be the Hash64 of t's key over this buffer's key
-// columns).
-func (b *HashBuffer) InsertHashed(h uint64, t tuple.Tuple) {
-	b.insertHashed(h, t)
-}
-
 // insertHashed stores t in the digest's bucket — inline when the digest is
 // fresh, spilled otherwise — and returns the bucket so callers that schedule
 // later removals (the IndexedFIFO expiry ring) can hold a direct pointer.
@@ -307,14 +300,9 @@ func (b *HashBuffer) Probe(k tuple.Key, fn func(t tuple.Tuple) bool) {
 
 // ProbeAppend implements ProbeAppender: live (Exp > now) tuples stored under
 // k are appended to dst in bucket order — the same order Probe visits them.
+// k verifies each visited tuple, since distinct keys can share a digest.
 func (b *HashBuffer) ProbeAppend(k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple {
-	return b.ProbeAppendHashed(k.Hash64(), k, now, dst)
-}
-
-// ProbeAppendHashed is ProbeAppend with k's digest already in hand; k itself
-// still verifies each visited tuple, since distinct keys can share a digest.
-func (b *HashBuffer) ProbeAppendHashed(h uint64, k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple {
-	bk, ok := b.buckets[h]
+	bk, ok := b.buckets[k.Hash64()]
 	if !ok {
 		return dst
 	}

@@ -59,11 +59,6 @@ func (b *IndexedFIFO) InsertKeyed(k tuple.Key, t tuple.Tuple) {
 	b.insertHashed(k.Hash64(), t)
 }
 
-// InsertHashed implements HashedBuffer (see HashBuffer.InsertHashed).
-func (b *IndexedFIFO) InsertHashed(h uint64, t tuple.Tuple) {
-	b.insertHashed(h, t)
-}
-
 // insertHashed stores t under its precomputed key digest, recording the
 // target bucket beside the queue entry for expiry.
 func (b *IndexedFIFO) insertHashed(h uint64, t tuple.Tuple) {
@@ -136,11 +131,6 @@ func (b *IndexedFIFO) Probe(k tuple.Key, fn func(t tuple.Tuple) bool) { b.hash.P
 // ProbeAppend implements ProbeAppender (see HashBuffer.ProbeAppend).
 func (b *IndexedFIFO) ProbeAppend(k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple {
 	return b.hash.ProbeAppend(k, now, dst)
-}
-
-// ProbeAppendHashed implements HashedBuffer (see HashBuffer.ProbeAppendHashed).
-func (b *IndexedFIFO) ProbeAppendHashed(h uint64, k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple {
-	return b.hash.ProbeAppendHashed(h, k, now, dst)
 }
 
 // Scan visits every stored tuple.

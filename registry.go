@@ -338,6 +338,9 @@ func (q *Query) Explain(w io.Writer) error {
 // Counters on shared operators report the physical work, summed over every
 // query the operator serves.
 func (q *Query) ExplainAnalyze(w io.Writer) error {
+	if q.h.Unregistered() {
+		return ErrUnregistered
+	}
 	if err := q.r.Sync(); err != nil {
 		return err
 	}
@@ -347,6 +350,9 @@ func (q *Query) ExplainAnalyze(w io.Writer) error {
 // ExplainDOT writes the Explain tree as a Graphviz digraph.
 func (q *Query) ExplainDOT(w io.Writer, analyze bool) error {
 	if analyze {
+		if q.h.Unregistered() {
+			return ErrUnregistered
+		}
 		if err := q.r.Sync(); err != nil {
 			return err
 		}
@@ -356,7 +362,8 @@ func (q *Query) ExplainDOT(w io.Writer, analyze bool) error {
 
 // OpStats returns per-operator runtime counters in this query's plan
 // pre-order. Rows for shared operators report the canonical node's
-// counters — the physical work, summed over every query it serves.
+// counters — the physical work, summed over every query it serves. It
+// returns nil after Unregister.
 func (q *Query) OpStats() []exec.OpProfile { return q.h.Profile() }
 
 // DeltaLatency snapshots this query's ingest→emit latency distributions by

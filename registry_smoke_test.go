@@ -1,6 +1,10 @@
 package repro_test
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -123,5 +127,86 @@ func TestRegistryCISmoke(t *testing.T) {
 			t.Errorf("%s diverged from standalone after churn\ngot:\n%s\nwant:\n%s",
 				specs[i].name, got, wantBag)
 		}
+	}
+}
+
+// TestQueryAfterUnregister calls every exported Query method on a handle
+// whose query was unregistered after traffic had built its private state:
+// none may panic, the methods that read the retired state return
+// ErrUnregistered, OpStats returns nil, and the surviving query keeps
+// answering.
+func TestQueryAfterUnregister(t *testing.T) {
+	paper := paperQueries(30)
+	reg, err := repro.NewRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	keep, err := reg.Register(paper["q1-join"](), repro.UPA, repro.WithQueryName("keep"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, err := reg.Register(paper["q4-distinct-join"](), repro.UPA, repro.WithQueryName("gone"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	protos := []string{"ftp", "telnet", "smtp", "http"}
+	for ts := int64(1); ts <= 90; ts++ {
+		if err := reg.Push(int(ts)%2, ts, repro.Int(ts/2%3), repro.Int(ts*3%7), repro.Str(protos[ts/2%4])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := reg.Unregister(gone); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	cases := []struct {
+		name string
+		call func() error
+		// retired: the method must fail with ErrUnregistered.
+		retired bool
+	}{
+		{"Name", func() error { _ = gone.Name(); return nil }, false},
+		{"Schema", func() error { _ = gone.Schema(); return nil }, false},
+		{"Pattern", func() error { _ = gone.Pattern(); return nil }, false},
+		{"Strategy", func() error { _ = gone.Strategy(); return nil }, false},
+		{"View", func() error { _ = gone.View(); return nil }, false},
+		{"OnEmit", func() error { gone.OnEmit(func(repro.Tuple) {}); return nil }, false},
+		{"Explain", func() error { return gone.Explain(io.Discard) }, false},
+		{"ExplainDOT", func() error { return gone.ExplainDOT(io.Discard, false) }, false},
+		{"DeltaLatency", func() error { _, _ = gone.DeltaLatency(); return nil }, false},
+		{"OpStats", func() error {
+			if rows := gone.OpStats(); rows != nil {
+				return fmt.Errorf("OpStats = %d rows, want nil", len(rows))
+			}
+			return nil
+		}, false},
+		{"Snapshot", func() error { _, err := gone.Snapshot(); return err }, true},
+		{"ResultCount", func() error { _, err := gone.ResultCount(); return err }, true},
+		{"ExplainAnalyze", func() error { return gone.ExplainAnalyze(io.Discard) }, true},
+		{"ExplainDOT/analyze", func() error { return gone.ExplainDOT(io.Discard, true) }, true},
+		{"Checkpoint", func() error {
+			buf.Reset()
+			err := gone.Checkpoint(&buf)
+			if buf.Len() != 0 {
+				return fmt.Errorf("Checkpoint wrote %d bytes", buf.Len())
+			}
+			return err
+		}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.call()
+			switch {
+			case c.retired && !errors.Is(err, repro.ErrUnregistered):
+				t.Errorf("err = %v, want ErrUnregistered", err)
+			case !c.retired && err != nil:
+				t.Errorf("err = %v, want nil", err)
+			}
+		})
+	}
+	if n, err := keep.ResultCount(); err != nil || n == 0 {
+		t.Errorf("surviving query: %d rows, err %v", n, err)
 	}
 }

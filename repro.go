@@ -84,6 +84,10 @@ var (
 	// errors whose timestamp precedes the engine clock (or, inside a batch,
 	// an earlier arrival); nothing is applied.
 	ErrTimeRegression = exec.ErrTimeRegression
+	// ErrUnregistered is returned by a Query's Snapshot, ResultCount,
+	// ExplainAnalyze, ExplainDOT with analyze set, and Checkpoint after
+	// Registry.Unregister removed it.
+	ErrUnregistered = exec.ErrUnregistered
 	// ErrNoKeyedView is returned by Lookup when the chosen view structure
 	// does not support keyed access (FIFO/list/partitioned views under
 	// DIRECT and most UPA plans — use Snapshot there).
